@@ -108,6 +108,10 @@ class Trace:
         self.word_starts = np.asarray(word_starts, dtype=np.int64)
         if self.samples.ndim != 1:
             raise ValueError("samples must be one-dimensional")
+        finite = np.isfinite(self.samples)
+        if not finite.all():
+            first = int(np.argmin(finite))
+            raise ValueError(f"samples must be finite; sample {first} is {self.samples[first]}")
         if self.word_starts.ndim != 1:
             raise ValueError("word_starts must be one-dimensional")
         if len(self.word_starts):

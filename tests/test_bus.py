@@ -182,6 +182,10 @@ def test_trace_invariants():
         bus.Trace(5e6, 1e5, np.zeros(100), [10, 10])
     with pytest.raises(ValueError):
         bus.Trace(5e6, 1e5, np.zeros(100), [150])
+    samples = np.zeros(100)
+    samples[[7, 40]] = [np.inf, np.nan]
+    with pytest.raises(ValueError, match="samples must be finite; sample 7 is inf"):
+        bus.Trace(5e6, 1e5, samples, [10])
 
 
 @pytest.mark.parametrize("encoding", ["f32le", "csv"])
@@ -207,6 +211,26 @@ def test_trace_io_rejects_garbage(tmp_path):
         bus.read_trace(path)
     path.write_bytes(b'{"sample_rate": 1}\n')
     with pytest.raises(ValueError):
+        bus.read_trace(path)
+
+
+@pytest.mark.parametrize("encoding", ["f32le", "csv"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_trace_io_rejects_non_finite_samples(tmp_path, encoding, bad):
+    trace = bus.synthesize_stream(TransmitterProfile(), [], [0x5A5A5A5A], seed=6)
+    path = tmp_path / f"trace.{encoding}"
+    bus.write_trace(trace, path, encoding=encoding)
+    header, body = path.read_bytes().split(b"\n", 1)
+    if encoding == "f32le":
+        samples = np.frombuffer(body, dtype="<f4").copy()
+        samples[1234] = bad
+        body = samples.tobytes()
+    else:
+        lines = body.decode("ascii").splitlines()
+        lines[1234] = f"1234,{bad!r}"
+        body = "".join(line + "\n" for line in lines).encode("ascii")
+    path.write_bytes(header + b"\n" + body)
+    with pytest.raises(ValueError, match=f"samples must be finite; sample 1234 is {bad!r}$"):
         bus.read_trace(path)
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from a429ids import bus, detector as det, segmentation
+from a429ids import bus, detector as det, features, lof, segmentation
 from a429ids.bus import ReceiverLoad, TransmitterProfile
 from a429ids.detector import SuspicionCounter, counter_step, run_labels
 from a429ids.features import FeatureSet
@@ -187,3 +187,29 @@ def test_detector_serialization_roundtrip(tmp_path, trained, noisy_word_bank):
     l1, v1 = det.classify_words(trained, bank[:5])
     l2, v2 = det.classify_words(back, bank[:5])
     assert np.array_equal(v1, v2) and np.array_equal(l1, l2)
+
+
+def test_bundle_is_independent_of_the_search_tree(tmp_path, noisy_word_bank, monkeypatch):
+    _, bank = noisy_word_bank
+    fitted = det.train_detector(bank, FeatureSet.RAW, t_votes=100)
+    assert any(m.tree is not None for m in fitted.models.values())
+    assert any(m.tree is None for m in fitted.models.values())  # 17- and 20-d raw types
+    with_tree = tmp_path / "with_tree.json"
+    det.save_detector(fitted, with_tree)
+    with monkeypatch.context() as patch:
+        patch.setattr(lof, "_TREE_MAX_DIM", 0)  # every model on the dense path
+        dense = det.train_detector(bank, FeatureSet.RAW, t_votes=100)
+    assert all(m.tree is None for m in dense.models.values())
+    without_tree = tmp_path / "without_tree.json"
+    det.save_detector(dense, without_tree)
+    assert with_tree.read_bytes() == without_tree.read_bytes()
+
+    back = det.load_detector(with_tree)
+    for seg_type, model in fitted.models.items():
+        loaded = back.models[seg_type]
+        assert (loaded.tree is None) == (model.tree is None)
+        vecs = np.asarray([
+            features.extract(FeatureSet.RAW, seg) for word in bank for seg in word
+            if seg.seg_type == seg_type
+        ])
+        assert np.array_equal(lof.score(loaded, vecs), lof.score(model, vecs))

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,3 +152,115 @@ def test_serialization_roundtrip(tmp_path):
     # the record is valid JSON with the expected top-level schema
     record = json.loads(path.read_text())
     assert {"k", "threshold", "scaler", "train"} <= set(record)
+
+
+# ---------------------------------------------------------------------------
+# Neighbour paths: the k-d tree (low dimension) and the dense blocks must
+# agree to the bit, ties and duplicates included.
+
+
+def _lattice(side, dim):
+    axes = np.meshgrid(*[np.arange(float(side))] * dim, indexing="ij")
+    return np.stack(axes, axis=-1).reshape(-1, dim)
+
+
+def _duplicate_cluster():
+    rng = np.random.default_rng(30)
+    x = rng.normal(size=(400, 5))
+    x[50:90] = x[3]  # 41 copies of one point: more than k + the spare candidates
+    return x
+
+
+_PATH_DATA = {
+    "lattice": lambda: _lattice(6, 4),
+    "duplicates": _duplicate_cluster,
+    "random": lambda: np.random.default_rng(31).normal(size=(3000, 8)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PATH_DATA))
+def test_tree_and_dense_paths_agree_bitwise(name, monkeypatch):
+    x = _PATH_DATA[name]()
+    rng = np.random.default_rng(32)
+    queries = np.vstack([x[::7], x[:40] + 0.5, rng.normal(size=(50, x.shape[1]))])
+    assert x.shape[1] <= lof._TREE_MAX_DIM
+    tree_model = lof.fit(x, k=20)
+    assert tree_model.tree is not None
+    monkeypatch.setattr(lof, "_TREE_MAX_DIM", 0)
+    dense_model = lof.fit(x, k=20)
+    assert dense_model.tree is None
+
+    z = tree_model.train
+    zq = (queries - tree_model.mean) / tree_model.scale
+    dense_pairs = lof._dense_pairs
+    redo_rows = []
+
+    def counting_dense_pairs(q, *args):
+        redo_rows.append(len(q))
+        return dense_pairs(q, *args)
+
+    for q, self_rows in ((z, True), (zq, False)):
+        dense = lof._neighbours(q, z, 20, None, self_rows=self_rows)
+        monkeypatch.setattr(lof, "_dense_pairs", counting_dense_pairs)
+        tree = lof._neighbours(q, z, 20, tree_model.tree, self_rows=self_rows)
+        monkeypatch.setattr(lof, "_dense_pairs", dense_pairs)
+        for got, want in zip(tree, dense):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+    # on tie-heavy data some rows' ties outnumber the tree's candidates
+    assert (sum(redo_rows) > 0) == (name != "random")
+
+    assert np.array_equal(tree_model.kdist, dense_model.kdist)
+    assert np.array_equal(tree_model.lrd, dense_model.lrd)
+    assert np.array_equal(tree_model.train_scores, dense_model.train_scores)
+    assert tree_model.threshold == dense_model.threshold
+    assert np.array_equal(lof.score(tree_model, queries), lof.score(dense_model, queries))
+
+
+def test_tree_path_lattice_matches_brute_force():
+    # ties at the k-distance outnumber the tree's candidates (dense fallback)
+    scale = np.array([1.0, 2.0, 0.5, 3.0])
+    x = _lattice(4, 4) * scale
+    rng = np.random.default_rng(36)
+    queries = np.vstack([x[::9], rng.uniform(-0.5, 3.5, size=(30, 4)) * scale])
+    model = lof.fit(x, k=20)
+    assert model.tree is not None
+    want = np.asarray(brute_lof_fit(x.tolist(), 20))
+    assert np.allclose(model.train_scores, want, rtol=1e-9, atol=1e-12)
+    got_q = lof.score(model, queries)
+    want_q = np.asarray(brute_lof_query(x.tolist(), queries.tolist(), 20))
+    assert np.allclose(got_q, want_q, rtol=1e-9, atol=1e-12)
+
+
+def test_loaded_model_rebuilds_tree_and_scores_identically():
+    rng = np.random.default_rng(33)
+    for dim in (4, 20):
+        model = lof.fit(rng.normal(size=(300, dim)), k=20)
+        back = lof.model_from_dict(json.loads(json.dumps(lof.model_to_dict(model))))
+        assert (back.tree is None) == (dim > lof._TREE_MAX_DIM)
+        q = rng.normal(size=(25, dim))
+        assert np.array_equal(lof.score(model, q), lof.score(back, q))
+
+
+# ---------------------------------------------------------------------------
+# Memory: a fit's tracemalloc high-water mark stays well below the n^2
+# distance matrix on both paths.
+
+
+def _fit_peak_mb(points):
+    tracemalloc.start()
+    try:
+        lof.fit(points, k=20)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_dense_fit_memory_is_bounded():
+    x = np.random.default_rng(34).normal(size=(10_000, 20))
+    assert x.shape[1] > lof._TREE_MAX_DIM
+    assert _fit_peak_mb(x) < 512.0  # the full distance matrix alone is 800 MB
+
+
+def test_tree_fit_memory_is_bounded():
+    x = np.random.default_rng(35).normal(size=(47_000, 4))
+    assert _fit_peak_mb(x) < 160.0
