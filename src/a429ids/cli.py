@@ -88,18 +88,22 @@ def _cmd_features(args) -> int:
     set_id = _feature_set(args.feature_set)
     trace = bus.read_trace(args.trace)
     per_word = segmentation.segment_stream(trace)
-    dt = 1.0 / trace.sample_rate
+    where = [(wi, si) for wi, word in enumerate(per_word) for si in range(len(word))]
+    segments = [seg for word in per_word for seg in word]
+    vectors = {}
+    for positions, matrix in features.extract_batch(
+        set_id, segments, dt=1.0 / trace.sample_rate
+    ).values():
+        vectors.update(zip(positions.tolist(), matrix.tolist()))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["word_index", "segment_index", "segment_type", "set", "features..."])
-        for wi, segments in enumerate(per_word):
-            for si, seg in enumerate(segments):
-                vec = features.extract(set_id, seg, dt=dt)
-                if vec is None:
-                    continue
-                writer.writerow(
-                    [wi, si, seg.seg_type.value, set_id.value] + [repr(v) for v in vec.tolist()]
-                )
+        for pos in sorted(vectors):
+            wi, si = where[pos]
+            writer.writerow(
+                [wi, si, segments[pos].seg_type.value, set_id.value]
+                + [repr(v) for v in vectors[pos]]
+            )
     print(f"extracted {set_id.value} features for {len(per_word)} words -> {args.out}")
     return 0
 

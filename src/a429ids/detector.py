@@ -49,23 +49,19 @@ def train_detector(
     t_votes = int(t_votes)
     if not 0 <= t_votes <= 127:
         raise ValueError(f"t_votes must be in [0, 127], got {t_votes}")
-    pools: dict[SegmentType, list[np.ndarray]] = {}
-    for word in training_words:
-        for seg in word:
-            vec = features.extract(set_id, seg, dt=sample_interval)
-            if vec is None:
-                continue
-            pools.setdefault(seg.seg_type, []).append(vec)
+    pools = features.extract_batch(
+        set_id, [seg for word in training_words for seg in word], dt=sample_interval
+    )
     if not pools:
         raise ValueError("no training segments")
     models = {}
-    for seg_type, vecs in sorted(pools.items(), key=lambda kv: kv[0].value):
+    for seg_type, (_, vecs) in sorted(pools.items(), key=lambda kv: kv[0].value):
         if len(vecs) < k + 2:
             raise ValueError(
                 f"only {len(vecs)} {seg_type.value} training segments; "
                 f"need at least k + 2 = {k + 2}"
             )
-        models[seg_type] = lof.fit(np.asarray(vecs), k=k, contamination=contamination)
+        models[seg_type] = lof.fit(vecs, k=k, contamination=contamination)
     return WordDetector(
         set_id=set_id, t_votes=t_votes, models=models, sample_interval=sample_interval
     )
@@ -80,24 +76,21 @@ def classify_words(detector: WordDetector, words) -> tuple[np.ndarray, np.ndarra
     """
     words = list(words)
     votes = np.zeros(len(words), dtype=np.int64)
-    grouped: dict[SegmentType, tuple[list[int], list[np.ndarray]]] = {}
-    for wi, word in enumerate(words):
-        for seg in word:
-            vec = features.extract(detector.set_id, seg, dt=detector.sample_interval)
-            if vec is None:
-                continue
-            owners, vecs = grouped.setdefault(seg.seg_type, ([], []))
-            owners.append(wi)
-            vecs.append(vec)
-    for seg_type, (owners, vecs) in grouped.items():
+    owners = np.repeat(np.arange(len(words)), [len(word) for word in words])
+    grouped = features.extract_batch(
+        detector.set_id,
+        [seg for word in words for seg in word],
+        dt=detector.sample_interval,
+    )
+    for seg_type, (positions, vecs) in grouped.items():
         model = detector.models.get(seg_type)
         if model is None:
             raise ValueError(
                 f"no model for segment type {seg_type.value}; "
                 "it never occurred in the training words"
             )
-        anomalous = lof.classify(model, np.asarray(vecs))
-        np.add.at(votes, np.asarray(owners), (~anomalous).astype(np.int64))
+        anomalous = lof.classify(model, vecs)
+        np.add.at(votes, owners[positions], (~anomalous).astype(np.int64))
     labels = votes <= detector.t_votes
     return labels, votes
 

@@ -1,11 +1,32 @@
 """Per-segment feature extraction: raw samples, generic statistics,
-polynomial fits and hand-picked shape landmarks."""
+polynomial fits and hand-picked shape landmarks.
+
+``extract_batch`` is the one implementation of every feature set. It groups
+a list of segments by (segment type, length), stacks each group into a
+matrix with one row per segment and runs one kernel per group:
+
+- raw: a slice of the first columns;
+- generic: moments reduced along the rows;
+- polynomial: one stacked LAPACK ``gelsd`` call per group, one right-hand
+  side per segment, through ``numpy.linalg._umath_linalg.lstsq``, the
+  private gufunc that ``np.linalg.lstsq`` itself calls (checked with numpy
+  2.4.6), with the same ``rcond`` and error state. Every segment is solved
+  by the same LAPACK call as alone, so the coefficients equal
+  ``np.linalg.lstsq``'s to the bit; one solve with many right-hand sides per
+  group would be faster but rounds differently;
+- hand-crafted: transitions vectorized (mean slope, mean deviation from the
+  chord), plateaus and like-bit nulls a loop over their landmarks.
+
+Within each type the rows come back in input order, which LOF's results
+depend on. ``extract`` and the ``extract_*`` functions are batches of one.
+"""
 
 from __future__ import annotations
 
 from enum import Enum
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .bus import DEFAULT_BIT_RATE, DEFAULT_SAMPLES_PER_BIT
 from .segmentation import Segment, SegmentType, TRANSITION_TYPES
@@ -88,64 +109,58 @@ def feature_length(set_id: FeatureSet, seg_type: SegmentType) -> int | None:
     raise ValueError(f"unknown feature set {set_id!r}")
 
 
-def extract_raw(segment: Segment, target_len: int | None = None) -> np.ndarray:
-    """First ``target_len`` samples of the segment, verbatim."""
-    if target_len is None:
-        target_len = RAW_LENGTHS[segment.seg_type]
-    x = np.asarray(segment.samples, dtype=np.float64)
-    if len(x) < target_len:
-        raise SegmentTooShort(
-            f"{segment.seg_type.value} segment of {len(x)} samples is shorter "
-            f"than the raw length {target_len}"
-        )
-    return x[:target_len].copy()
+def _too_short(set_id: FeatureSet, seg_type: SegmentType, n: int) -> str | None:
+    """Why a segment of ``n`` samples is too short for the set, or None."""
+    if set_id is FeatureSet.RAW:
+        if n < RAW_LENGTHS[seg_type]:
+            return (
+                f"{seg_type.value} segment of {n} samples is shorter "
+                f"than the raw length {RAW_LENGTHS[seg_type]}"
+            )
+    elif set_id is FeatureSet.GENERIC:
+        if n < 2:
+            return "generic features need at least 2 samples"
+    elif set_id is FeatureSet.POLYNOMIAL:
+        degree = POLY_DEGREES[seg_type]
+        if n <= degree:
+            return f"cannot fit degree {degree} through {n} samples (underdetermined)"
+    elif seg_type in TRANSITION_TYPES and n < 2:
+        return "transition features need at least 2 samples"
+    return None
 
 
-def extract_generic(segment: Segment) -> np.ndarray:
-    """Mean, std, variance, skewness, kurtosis, RMS, maximum and energy.
-
-    All moments use the population form (divisor N). A constant segment has
-    zero spread, so its skewness and kurtosis are defined as 0.
-    """
-    x = np.asarray(segment.samples, dtype=np.float64)
-    if len(x) < 2:
-        raise SegmentTooShort("generic features need at least 2 samples")
-    mu = x.mean()
-    var = np.mean((x - mu) ** 2)
+def _generic_rows(x: np.ndarray) -> np.ndarray:
+    mu = x.mean(axis=1, keepdims=True)
+    var = np.mean((x - mu) ** 2, axis=1)
     sd = np.sqrt(var)
-    if sd > 0.0:
-        z = (x - mu) / sd
-        skew = np.mean(z**3)
-        kurt = np.mean(z**4)
-    else:
-        skew = 0.0
-        kurt = 0.0
-    mean_sq = np.mean(x**2)
+    spread = sd > 0.0
+    z = (x - mu) / np.where(spread, sd, 1.0)[:, None]
+    skew = np.where(spread, np.mean(z**3, axis=1), 0.0)
+    kurt = np.where(spread, np.mean(z**4, axis=1), 0.0)
+    mean_sq = np.mean(x**2, axis=1)
     rms = np.sqrt(mean_sq)
-    return np.array([mu, sd, var, skew, kurt, rms, x.max(), mean_sq])
+    return np.column_stack([mu[:, 0], sd, var, skew, kurt, rms, x.max(axis=1), mean_sq])
 
 
-def extract_polynomial(segment: Segment, degree: int | None = None) -> np.ndarray:
-    """Least-squares polynomial coefficients plus the fit residual.
+def _raise_lstsq_error(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
-    The time axis is normalised to [0, 1]. Coefficients come back in
-    ascending power order followed by the residual (sum of squared fit
-    errors), solved with an orthogonal decomposition rather than normal
-    equations: the degree-7 Vandermonde is badly conditioned.
-    """
-    if degree is None:
-        degree = POLY_DEGREES[segment.seg_type]
-    x = np.asarray(segment.samples, dtype=np.float64)
-    n = len(x)
-    if n <= degree:
-        raise SegmentTooShort(
-            f"cannot fit degree {degree} through {n} samples (underdetermined)"
-        )
+
+def _polynomial_rows(x: np.ndarray, degree: int) -> np.ndarray:
+    # an orthogonal decomposition rather than normal equations: the degree-7
+    # Vandermonde is badly conditioned
+    n = x.shape[1]
     t = np.linspace(0.0, 1.0, n)
     vand = np.vander(t, degree + 1, increasing=True)
-    coef, *_ = np.linalg.lstsq(vand, x, rcond=None)
-    residual = float(np.sum((vand @ coef - x) ** 2))
-    return np.append(coef, residual)
+    # what np.linalg.lstsq(vand, row, rcond=None) does for each row
+    rcond = np.finfo(np.float64).eps * max(n, degree + 1)
+    with np.errstate(
+        call=_raise_lstsq_error, invalid="call", over="ignore", divide="ignore", under="ignore"
+    ):
+        coef, _, _, _ = _umath_linalg.lstsq(vand, x[:, :, None], rcond, signature="ddd->ddid")
+    fitted = (vand @ coef)[:, :, 0]
+    residual = np.sum((fitted - x) ** 2, axis=1)
+    return np.column_stack([coef[:, :, 0], residual])
 
 
 def _next_extremum(x: np.ndarray, begin: int, sign: int) -> int | None:
@@ -194,6 +209,117 @@ def _landmarks(x: np.ndarray, dt: float, first_sign: int) -> np.ndarray:
     return np.array([t1, v1, t2, v2, t3, v3, t2 - t1, v2 - v1, t3 - t1, v3 - v1])
 
 
+def _null_overshoot(x: np.ndarray, dt: float, sign: int) -> np.ndarray:
+    idx = _next_extremum(x, 1, sign)
+    if idx is None:
+        idx = int(np.argmin(x)) if sign < 0 else int(np.argmax(x))
+    return np.array([idx * dt, x[idx]])
+
+
+def _handcrafted_rows(seg_type: SegmentType, x: np.ndarray, dt: float) -> np.ndarray:
+    if seg_type in TRANSITION_TYPES:
+        n = x.shape[1]
+        slope = np.mean(np.diff(x, axis=1), axis=1) / dt
+        first, last = x[:, 0], x[:, -1]
+        # np.linspace switches every row to another formula when any row's
+        # step is zero, so those rows are drawn apart from the others
+        flat = (last - first) / (n - 1) == 0.0
+        chord = np.empty_like(x)
+        for rows in (flat, ~flat):
+            if rows.any():
+                chord[rows] = np.linspace(first[rows], last[rows], n, axis=1)
+        return np.column_stack([slope, np.mean(x - chord, axis=1)])
+    if seg_type is SegmentType.HI:
+        return np.array([_landmarks(row, dt, +1) for row in x])
+    if seg_type is SegmentType.LO:
+        return np.array([_landmarks(row, dt, -1) for row in x])
+    # NULL_HH dips below the settling level ("smile"), NULL_LL peaks above
+    # it ("frown"); the overshoot is the corresponding extremum.
+    sign = -1 if seg_type is SegmentType.NULL_HH else +1
+    return np.array([_null_overshoot(row, dt, sign) for row in x])
+
+
+def _group_rows(set_id: FeatureSet, seg_type: SegmentType, x: np.ndarray, dt: float):
+    if set_id is FeatureSet.RAW:
+        return x[:, : RAW_LENGTHS[seg_type]]
+    if set_id is FeatureSet.GENERIC:
+        return _generic_rows(x)
+    if set_id is FeatureSet.POLYNOMIAL:
+        return _polynomial_rows(x, POLY_DEGREES[seg_type])
+    return _handcrafted_rows(seg_type, x, dt)
+
+
+def extract_batch(
+    set_id: FeatureSet, segments, dt: float = DEFAULT_SAMPLE_INTERVAL
+) -> dict[SegmentType, tuple[np.ndarray, np.ndarray]]:
+    """Feature vectors of a list of segments, by segment type.
+
+    Returns ``{type: (positions, matrix)}``: row i of ``matrix`` is the
+    vector of ``segments[positions[i]]``, and positions ascend, so each
+    type's rows keep the input order. Types appear in the order of their
+    first segment. Types the set excludes (the mixed-polarity nulls for
+    hand-crafted features) are left out. A segment too short for its set
+    raises ``SegmentTooShort`` before anything is computed, for the first
+    such segment in input order.
+    """
+    if not isinstance(set_id, FeatureSet):
+        raise ValueError(f"unknown feature set {set_id!r}")
+    groups: dict[tuple[SegmentType, int], list[int]] = {}
+    for pos, seg in enumerate(segments):
+        groups.setdefault((seg.seg_type, len(seg.samples)), []).append(pos)
+    # groups are in the order of their first segment, so the first group
+    # that fails holds the first segment that fails
+    for seg_type, n in groups:
+        message = _too_short(set_id, seg_type, n)
+        if message is not None:
+            raise SegmentTooShort(message)
+
+    parts: dict[SegmentType, list[tuple[list[int], np.ndarray]]] = {}
+    for (seg_type, _), positions in groups.items():
+        if set_id is FeatureSet.HANDCRAFTED and seg_type in HANDCRAFTED_EXCLUDED:
+            continue
+        x = np.array([segments[p].samples for p in positions], dtype=np.float64)
+        rows = _group_rows(set_id, seg_type, x, dt)
+        parts.setdefault(seg_type, []).append((positions, rows))
+    out = {}
+    for seg_type, type_parts in parts.items():
+        positions = np.concatenate([np.asarray(p, dtype=np.int64) for p, _ in type_parts])
+        order = np.argsort(positions, kind="stable")
+        matrix = np.concatenate([rows for _, rows in type_parts])[order]
+        out[seg_type] = (positions[order], matrix)
+    return out
+
+
+def _extract_one(set_id: FeatureSet, segment: Segment, dt: float) -> np.ndarray | None:
+    for _, matrix in extract_batch(set_id, [segment], dt).values():
+        return matrix[0]
+    return None  # the set excludes the segment's type
+
+
+def extract_raw(segment: Segment) -> np.ndarray:
+    """First ``RAW_LENGTHS[type]`` samples of the segment, verbatim."""
+    return _extract_one(FeatureSet.RAW, segment, DEFAULT_SAMPLE_INTERVAL)
+
+
+def extract_generic(segment: Segment) -> np.ndarray:
+    """Mean, std, variance, skewness, kurtosis, RMS, maximum and energy.
+
+    All moments use the population form (divisor N). A constant segment has
+    zero spread, so its skewness and kurtosis are defined as 0.
+    """
+    return _extract_one(FeatureSet.GENERIC, segment, DEFAULT_SAMPLE_INTERVAL)
+
+
+def extract_polynomial(segment: Segment) -> np.ndarray:
+    """Least-squares polynomial coefficients plus the fit residual.
+
+    The degree is ``POLY_DEGREES[type]`` and the time axis is normalised to
+    [0, 1]. Coefficients come back in ascending power order followed by the
+    residual (sum of squared fit errors).
+    """
+    return _extract_one(FeatureSet.POLYNOMIAL, segment, DEFAULT_SAMPLE_INTERVAL)
+
+
 def extract_handcrafted(
     segment: Segment, dt: float = DEFAULT_SAMPLE_INTERVAL
 ) -> np.ndarray:
@@ -203,49 +329,22 @@ def extract_handcrafted(
     the segment start) and the offsets of the later points from the first.
     LO is the mirror image. Like-bit nulls take only their overshoot
     extremum. Transitions take the mean slope and the mean deviation from
-    the chord joining the endpoints.
+    the chord joining the endpoints. The mixed-polarity nulls raise
+    ``ExcludedSegmentType``.
     """
-    seg_type = segment.seg_type
-    if seg_type in HANDCRAFTED_EXCLUDED:
+    if segment.seg_type in HANDCRAFTED_EXCLUDED:
         raise ExcludedSegmentType(
-            f"{seg_type.value} segments have no hand-crafted features"
+            f"{segment.seg_type.value} segments have no hand-crafted features"
         )
-    x = np.asarray(segment.samples, dtype=np.float64)
-    if seg_type in TRANSITION_TYPES:
-        if len(x) < 2:
-            raise SegmentTooShort("transition features need at least 2 samples")
-        slope = np.mean(np.diff(x)) / dt
-        chord = np.linspace(x[0], x[-1], len(x))
-        return np.array([slope, np.mean(x - chord)])
-    if seg_type is SegmentType.HI:
-        return _landmarks(x, dt, +1)
-    if seg_type is SegmentType.LO:
-        return _landmarks(x, dt, -1)
-    # NULL_HH dips below the settling level ("smile"), NULL_LL peaks above
-    # it ("frown"); the overshoot is the corresponding extremum.
-    sign = -1 if seg_type is SegmentType.NULL_HH else +1
-    idx = _next_extremum(x, 1, sign)
-    if idx is None:
-        idx = int(np.argmin(x)) if sign < 0 else int(np.argmax(x))
-    return np.array([idx * dt, x[idx]])
+    return _extract_one(FeatureSet.HANDCRAFTED, segment, dt)
 
 
 def extract(
     set_id: FeatureSet, segment: Segment, dt: float = DEFAULT_SAMPLE_INTERVAL
 ) -> np.ndarray | None:
-    """Dispatch to the chosen extractor.
+    """Feature vector of one segment.
 
     Returns None (a "no vector" marker) for segment types the set excludes;
     the detector skips those segments instead of voting on them.
     """
-    if set_id is FeatureSet.RAW:
-        return extract_raw(segment)
-    if set_id is FeatureSet.GENERIC:
-        return extract_generic(segment)
-    if set_id is FeatureSet.POLYNOMIAL:
-        return extract_polynomial(segment)
-    if set_id is FeatureSet.HANDCRAFTED:
-        if segment.seg_type in HANDCRAFTED_EXCLUDED:
-            return None
-        return extract_handcrafted(segment, dt)
-    raise ValueError(f"unknown feature set {set_id!r}")
+    return _extract_one(set_id, segment, dt)

@@ -43,7 +43,6 @@ against 160 MB and on 10 000 x 20 points (dense path) against 512 MB.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -260,17 +259,9 @@ def score(model: LofModel, queries) -> np.ndarray:
     return _mean_neighbour_lrd(nbr_idx, nbr_ok, model.lrd) / lrd_q
 
 
-def score_one(model: LofModel, query) -> float:
-    return float(score(model, np.asarray(query, dtype=np.float64)[None, :])[0])
-
-
 def classify(model: LofModel, queries) -> np.ndarray:
     """Boolean anomaly flags: score strictly above the threshold."""
     return score(model, queries) > model.threshold
-
-
-def classify_one(model: LofModel, query) -> bool:
-    return bool(score_one(model, query) > model.threshold)
 
 
 def model_to_dict(model: LofModel) -> dict:
@@ -299,13 +290,3 @@ def model_from_dict(data: dict) -> LofModel:
         )
     except KeyError as exc:
         raise ValueError(f"model record missing key {exc}") from exc
-
-
-def save_model(model: LofModel, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh, sort_keys=True)
-
-
-def load_model(path) -> LofModel:
-    with open(path) as fh:
-        return model_from_dict(json.load(fh))

@@ -71,7 +71,7 @@ class MalformedSignal(ValueError):
         super().__init__(f"{message} ({where}sample {self.sample_index})")
 
 
-@dataclass
+@dataclass(slots=True)
 class Segment:
     seg_type: SegmentType
     samples: np.ndarray

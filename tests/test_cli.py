@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from a429ids import bus, evaluation as ev
+from a429ids import bus, evaluation as ev, features, segmentation
 from a429ids.bus import ReceiverLoad, TransmitterProfile
 from a429ids.cli import main
 
@@ -64,6 +64,26 @@ def test_features_command(scenario_path, work):
     rows = _read_csv(out)
     assert len(rows) - 1 == 40 * 127
     assert len(rows[1]) == 4 + 8  # metadata columns + 8 generic features
+
+
+@pytest.mark.parametrize("set_id", list(features.FeatureSet), ids=lambda s: s.value)
+def test_features_command_matches_extract(scenario_path, work, set_id):
+    out = work / f"features_{set_id.value}.csv"
+    trace_path = work / "train.bin"
+    assert main([
+        "features", "--trace", str(trace_path), "--feature-set", set_id.value, "--out", str(out),
+    ]) == 0
+    trace = bus.read_trace(trace_path)
+    want = []
+    for wi, word in enumerate(segmentation.segment_stream(trace)):
+        for si, seg in enumerate(word):
+            vec = features.extract(set_id, seg, dt=1.0 / trace.sample_rate)
+            if vec is not None:
+                want.append(
+                    [str(wi), str(si), seg.seg_type.value, set_id.value]
+                    + [repr(v) for v in vec.tolist()]
+                )
+    assert _read_csv(out)[1:] == want
 
 
 def test_train_and_run_roundtrip(scenario_path, work):

@@ -1,18 +1,23 @@
 import numpy as np
 import pytest
 
+from a429ids import features
 from a429ids.features import (
+    DEFAULT_SAMPLE_INTERVAL,
     FeatureSet,
+    POLY_DEGREES,
+    RAW_LENGTHS,
     SegmentTooShort,
     ExcludedSegmentType,
     extract,
+    extract_batch,
     extract_generic,
     extract_handcrafted,
     extract_polynomial,
     extract_raw,
     feature_length,
 )
-from a429ids.segmentation import Segment, SegmentType
+from a429ids.segmentation import Segment, SegmentType, TRANSITION_TYPES
 
 from oracles import naive_generic, normal_equations_polyfit
 
@@ -208,7 +213,7 @@ def test_handcrafted_null_types(clean_segment_bank):
 
 def test_handcrafted_excluded_types():
     seg = _seg(SegmentType.NULL_LH, np.zeros(17))
-    with pytest.raises(ExcludedSegmentType):
+    with pytest.raises(ExcludedSegmentType, match="^NULL_LH segments have no hand-crafted"):
         extract_handcrafted(seg)
     assert extract(FeatureSet.HANDCRAFTED, seg) is None
     assert extract(FeatureSet.HANDCRAFTED, _seg(SegmentType.NULL_HL, np.zeros(17))) is None
@@ -252,3 +257,166 @@ def test_dimensional_consistency(noisy_word_bank):
                 seen.setdefault((set_id, seg.seg_type), set()).add(len(vec))
     for (set_id, seg_type), lengths in seen.items():
         assert lengths == {feature_length(set_id, seg_type)}
+
+
+# ---------------------------------------------------------------------------
+# batch kernels against per-segment references, to the bit
+
+
+def _ref_raw(seg, dt):
+    return np.asarray(seg.samples, dtype=np.float64)[: RAW_LENGTHS[seg.seg_type]].copy()
+
+
+def _ref_generic(seg, dt):
+    x = np.asarray(seg.samples, dtype=np.float64)
+    mu = x.mean()
+    var = np.mean((x - mu) ** 2)
+    sd = np.sqrt(var)
+    if sd > 0.0:
+        z = (x - mu) / sd
+        skew = np.mean(z**3)
+        kurt = np.mean(z**4)
+    else:
+        skew = 0.0
+        kurt = 0.0
+    mean_sq = np.mean(x**2)
+    return np.array([mu, sd, var, skew, kurt, np.sqrt(mean_sq), x.max(), mean_sq])
+
+
+def _ref_polynomial(seg, dt):
+    x = np.asarray(seg.samples, dtype=np.float64)
+    t = np.linspace(0.0, 1.0, len(x))
+    vand = np.vander(t, POLY_DEGREES[seg.seg_type] + 1, increasing=True)
+    coef, *_ = np.linalg.lstsq(vand, x, rcond=None)
+    return np.append(coef, float(np.sum((vand @ coef - x) ** 2)))
+
+
+def _ref_handcrafted(seg, dt):
+    x = np.asarray(seg.samples, dtype=np.float64)
+    if seg.seg_type in features.HANDCRAFTED_EXCLUDED:
+        return None
+    if seg.seg_type in TRANSITION_TYPES:
+        slope = np.mean(np.diff(x)) / dt
+        chord = np.linspace(x[0], x[-1], len(x))
+        return np.array([slope, np.mean(x - chord)])
+    if seg.seg_type is SegmentType.HI:
+        return features._landmarks(x, dt, +1)
+    if seg.seg_type is SegmentType.LO:
+        return features._landmarks(x, dt, -1)
+    sign = -1 if seg.seg_type is SegmentType.NULL_HH else +1
+    idx = features._next_extremum(x, 1, sign)
+    if idx is None:
+        idx = int(np.argmin(x)) if sign < 0 else int(np.argmax(x))
+    return np.array([idx * dt, x[idx]])
+
+
+_REFERENCES = {
+    FeatureSet.RAW: _ref_raw,
+    FeatureSet.GENERIC: _ref_generic,
+    FeatureSet.POLYNOMIAL: _ref_polynomial,
+    FeatureSet.HANDCRAFTED: _ref_handcrafted,
+}
+
+
+def _same_bits(got, want):
+    want = np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.fixture(scope="module")
+def shuffled_segments(noisy_word_bank):
+    """The noisy bank's segments in a fixed random order, so that segments
+    of one type and length are scattered among the others."""
+    _, bank = noisy_word_bank
+    segments = [seg for word in bank for seg in word]
+    order = np.random.default_rng(5).permutation(len(segments))
+    return [segments[i] for i in order]
+
+
+def test_batch_bank_covers_every_type_in_several_lengths(shuffled_segments):
+    lengths: dict[SegmentType, set] = {}
+    for seg in shuffled_segments:
+        lengths.setdefault(seg.seg_type, set()).add(len(seg.samples))
+    assert set(lengths) == set(SegmentType)
+    assert sum(len(v) for v in lengths.values()) > 2 * len(SegmentType)
+
+
+@pytest.mark.parametrize("set_id", list(FeatureSet), ids=lambda s: s.value)
+@pytest.mark.parametrize("dt", [DEFAULT_SAMPLE_INTERVAL, 1.0 / 3.0])
+def test_batch_matches_per_segment_reference_bitwise(shuffled_segments, set_id, dt):
+    reference = _REFERENCES[set_id]
+    out = extract_batch(set_id, shuffled_segments, dt=dt)
+    want_order = []
+    for seg in shuffled_segments:
+        if feature_length(set_id, seg.seg_type) and seg.seg_type not in want_order:
+            want_order.append(seg.seg_type)
+    assert list(out) == want_order  # types in the order of their first segment
+    for seg_type, (positions, matrix) in out.items():
+        # rows of a type come back in input order
+        want_pos = [i for i, seg in enumerate(shuffled_segments) if seg.seg_type is seg_type]
+        assert positions.tolist() == want_pos
+        assert matrix.dtype == np.float64 and matrix.flags.c_contiguous
+        want = np.array([reference(shuffled_segments[i], dt) for i in want_pos])
+        assert _same_bits(matrix, want), seg_type
+        # the public per-segment functions give the same rows
+        for i, row in zip(want_pos[:5], matrix):
+            assert _same_bits(extract(set_id, shuffled_segments[i], dt=dt), row)
+
+
+def test_batch_handcrafted_transition_with_flat_chord():
+    # a zero chord step in one row must not change the other rows' chords;
+    # these endpoints give a chord that np.linspace draws differently when
+    # another row of the same call has a zero step
+    dt = 2e-7
+    rising = np.linspace(2.6888506996347092, 7.832778819148955, 10)
+    rising[1:-1] += 0.05 * np.sin(np.arange(1.0, 9.0))
+    segs = [
+        _seg(SegmentType.UP_FROM_NULL, rising),
+        _seg(SegmentType.UP_FROM_NULL, [3.0, 4.0, 6.0, 7.0, 7.5, 7.0, 6.0, 5.0, 4.0, 3.0]),
+        _seg(SegmentType.UP_FROM_NULL, rising[::-1]),
+    ]
+    (positions, matrix), = extract_batch(FeatureSet.HANDCRAFTED, segs, dt=dt).values()
+    assert positions.tolist() == [0, 1, 2]
+    assert _same_bits(matrix, np.array([_ref_handcrafted(s, dt) for s in segs]))
+
+
+def test_batch_of_nothing_and_excluded_only():
+    assert extract_batch(FeatureSet.POLYNOMIAL, []) == {}
+    assert extract_batch(FeatureSet.HANDCRAFTED, [_seg(SegmentType.NULL_LH, np.zeros(17))]) == {}
+    with pytest.raises(ValueError, match="unknown feature set"):
+        extract_batch("raw", [])
+
+
+_GOOD_HI = np.linspace(9.0, 10.0, 22) + 0.01 * np.sin(np.arange(22.0))
+
+
+@pytest.mark.parametrize(
+    "set_id,first,second,message",
+    [
+        (FeatureSet.RAW, (SegmentType.UP_FROM_LO, 3), (SegmentType.HI, 19),
+         "UP_FROM_LO segment of 3 samples is shorter than the raw length 4"),
+        (FeatureSet.RAW, (SegmentType.HI, 19), (SegmentType.UP_FROM_LO, 3),
+         "HI segment of 19 samples is shorter than the raw length 20"),
+        (FeatureSet.POLYNOMIAL, (SegmentType.UP_FROM_LO, 2), (SegmentType.HI, 7),
+         "cannot fit degree 2 through 2 samples (underdetermined)"),
+        (FeatureSet.POLYNOMIAL, (SegmentType.HI, 7), (SegmentType.UP_FROM_LO, 2),
+         "cannot fit degree 7 through 7 samples (underdetermined)"),
+        (FeatureSet.GENERIC, (SegmentType.LO, 1), (SegmentType.HI, 0),
+         "generic features need at least 2 samples"),
+        (FeatureSet.HANDCRAFTED, (SegmentType.DOWN_FROM_HI, 1), (SegmentType.UP_FROM_NULL, 1),
+         "transition features need at least 2 samples"),
+    ],
+)
+def test_batch_raises_for_first_short_segment(monkeypatch, set_id, first, second, message):
+    # a valid group first, then two short segments of other groups
+    good = _seg(SegmentType.HI, _GOOD_HI)
+    short = [_seg(t, np.linspace(1.0, 2.0, n)) for t, n in (first, second)]
+    segments = [good, good, short[0], good, short[1], good]
+
+    def no_kernel(*args):
+        raise AssertionError("a kernel ran before the lengths were checked")
+
+    monkeypatch.setattr(features, "_group_rows", no_kernel)
+    with pytest.raises(SegmentTooShort) as exc:
+        extract_batch(set_id, segments)
+    assert str(exc.value) == message

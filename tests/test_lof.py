@@ -42,7 +42,7 @@ def test_duplicates_score_one():
     x = np.tile([3.0, -1.0, 2.0], (30, 1))
     model = lof.fit(x, k=20)
     assert np.all(model.train_scores == 1.0)
-    assert lof.score_one(model, [3.0, -1.0, 2.0]) == 1.0
+    assert lof.score(model, [[3.0, -1.0, 2.0]])[0] == 1.0
 
 
 def test_contamination_quantile_marks_exact_fraction():
@@ -58,15 +58,15 @@ def test_far_outlier_is_anomalous():
     model = lof.fit(x, k=20)
     diameter = np.linalg.norm(x.max(axis=0) - x.min(axis=0))
     far_away = x.mean(axis=0) + 100.0 * diameter
-    assert lof.score_one(model, far_away) > 10.0
-    assert lof.classify_one(model, far_away)
+    assert lof.score(model, far_away[None])[0] > 10.0
+    assert lof.classify(model, far_away[None])[0]
 
 
 def test_training_replica_is_normal():
     rng = np.random.default_rng(10)
     x = rng.uniform(size=(200, 2))
     model = lof.fit(x, k=20)
-    score = lof.score_one(model, x[17])
+    score = lof.score(model, x[17:18])[0]
     assert 0.8 <= score <= 1.3
     assert not score > model.threshold or score <= 1.3  # deep-cluster point
 
@@ -84,8 +84,8 @@ def test_threshold_boundary_is_normal():
     x = rng.normal(size=(100, 3))
     model = lof.fit(x, k=20)
     q = rng.normal(size=3)
-    model.threshold = lof.score_one(model, q)  # exactly at the threshold
-    assert not lof.classify_one(model, q)
+    model.threshold = lof.score(model, q[None])[0]  # exactly at the threshold
+    assert not lof.classify(model, q[None])[0]
 
 
 def test_affine_invariance_of_classification():
@@ -112,7 +112,7 @@ def test_far_field_monotonicity():
     direction /= np.linalg.norm(direction)
     diameter = np.linalg.norm(x.max(axis=0) - x.min(axis=0))
     radii = np.linspace(1.5 * diameter, 30.0 * diameter, 12)
-    scores = [lof.score_one(model, centroid + r * direction) for r in radii]
+    scores = [lof.score(model, (centroid + r * direction)[None])[0] for r in radii]
     assert all(a <= b + 1e-9 for a, b in zip(scores, scores[1:]))
 
 
@@ -144,8 +144,8 @@ def test_serialization_roundtrip(tmp_path):
     x = rng.normal(size=(60, 4))
     model = lof.fit(x, k=20)
     path = tmp_path / "model.json"
-    lof.save_model(model, path)
-    back = lof.load_model(path)
+    path.write_text(json.dumps(lof.model_to_dict(model)))
+    back = lof.model_from_dict(json.loads(path.read_text()))
     q = rng.normal(size=(9, 4))
     assert np.array_equal(lof.score(model, q), lof.score(back, q))
     assert back.threshold == model.threshold
