@@ -8,6 +8,21 @@ between two ones, upward between two zeros), reproducing the smile/frown
 morphology seen on real buses. Receiver loads act as cascaded one-pole
 low-pass filters on the line; white Gaussian measurement noise is added
 last. Output is deterministic for a given seed (PCG64).
+
+Words are rendered in blocks of `_BLOCK_WORDS`. Every word of the stream is
+validated before anything is drawn or painted. A block takes its bits with
+one shift and mask and its edge jitter with one PCG64 draw, the same stream
+as one draw per word. The sample windows of all its pulses, and of the
+like-bit null bumps, become one flat ragged index (window lengths
+repeated, offset by their cumulative sums), so each waveform formula runs
+once per block over every sample. The values are added with one unbuffered
+``np.add.at``, ordered word by word, that word's pulses then its bumps.
+Windows overlap (a pulse's last samples and the next bump's first, and
+neighbouring words under large jitter), and floating-point addition is not
+associative, so this order is what makes the output bit-for-bit equal to
+rendering one pulse or bump at a time; a buffered ``x[idx] += v`` would
+also drop repeated indices. The block size bounds the temporaries, which
+stay a small fraction of the trace.
 """
 
 from __future__ import annotations
@@ -19,7 +34,7 @@ from pathlib import Path
 import numpy as np
 from scipy import signal as sps
 
-from .words import WORD_BITS, to_bits_msb_first
+from .words import WORD_BITS, check_word
 
 DEFAULT_BIT_RATE = 100_000.0
 DEFAULT_SAMPLES_PER_BIT = 50
@@ -32,6 +47,10 @@ _RAMP_10_90_FRACTION = 0.5903344706017331
 # one half so the plateau keeps margin over the longest raw-feature window
 # while the 50%-width of the pulse stays close to the nominal half bit.
 _FALL_START_FRACTION = 0.53
+# Words rendered per block: large enough to amortize the per-call overhead
+# of the array operations, small enough that a block's temporaries stay a
+# small fraction of the trace.
+_BLOCK_WORDS = 16
 
 
 @dataclass(frozen=True)
@@ -128,47 +147,76 @@ class Trace:
         return len(self.samples)
 
 
-def _paint_pulse(x, fs, swing, rise_t0, rise_dur, fall_t0, fall_dur, profile):
-    """Add one return-to-zero pulse (and its ringing) onto the sample grid."""
+def _ragged(i0, i1):
+    """Flat index of every sample of the windows ``[i0[j], i1[j])``.
+
+    Returns ``(owner, index)``: the window each sample belongs to and its
+    sample index, windows in order and each window's samples ascending.
+    Empty and inverted windows contribute nothing.
+    """
+    lengths = np.maximum(i1 - i0, 0)
+    owner = np.repeat(np.arange(len(lengths)), lengths)
+    starts = np.cumsum(lengths) - lengths
+    return owner, np.arange(len(owner)) + (i0 - starts)[owner]
+
+
+def _paint_block(x, fs, tx, bits, rise_at, fall_at, rise_dur, fall_dur):
+    """Add the pulses and like-bit null bumps of a block of words onto ``x``.
+
+    ``bits`` (bool), ``rise_at`` and ``fall_at`` are (words, 32) arrays.
+    Every sample is computed with the same expressions, in the same order
+    of operations, as one pulse or bump rendered on its own, and the values
+    are added word by word, that word's 32 pulses, then its bumps, so
+    overlapping windows sum exactly as a per-bit loop would.
+    """
     n = len(x)
-    i0 = max(0, int(np.floor(rise_t0 * fs)))
-    i1 = min(n, int(np.ceil((fall_t0 + fall_dur) * fs)) + 1)
-    if i1 <= i0:
-        return
-    t = np.arange(i0, i1) / fs
-    u_rise = np.clip((t - rise_t0) / rise_dur, 0.0, 1.0)
-    u_fall = np.clip((t - fall_t0) / fall_dur, 0.0, 1.0)
-    gate = (0.5 - 0.5 * np.cos(np.pi * u_rise)) * (0.5 + 0.5 * np.cos(np.pi * u_fall))
-    pulse = swing * gate
-    if profile.overshoot_frac > 0.0:
-        t_ring = t - (rise_t0 + rise_dur)
+    # pulses: [floor(rise*fs), ceil((fall + fall_dur)*fs) + 1), clipped
+    rise = rise_at.ravel()
+    fall = fall_at.ravel()
+    swing = np.where(
+        bits.ravel(), tx.hi_volts - tx.null_volts, tx.lo_volts - tx.null_volts
+    )
+    i0 = np.maximum(0, np.floor(rise * fs).astype(np.int64))
+    i1 = np.minimum(n, np.ceil((fall + fall_dur) * fs).astype(np.int64) + 1)
+    p_owner, p_idx = _ragged(i0, i1)
+    t = p_idx / fs
+    p_swing = swing[p_owner]
+    u_rise = np.clip((t - rise[p_owner]) / rise_dur, 0.0, 1.0)
+    u_fall = np.clip((t - fall[p_owner]) / fall_dur, 0.0, 1.0)
+    # the fall gate also winds the ringing down so the ramp stays smooth
+    fall_gate = 0.5 + 0.5 * np.cos(np.pi * u_fall)
+    pulse = p_swing * ((0.5 - 0.5 * np.cos(np.pi * u_rise)) * fall_gate)
+    if tx.overshoot_frac > 0.0:
+        t_ring = t - (rise + rise_dur)[p_owner]
         live = t_ring > 0.0
-        if np.any(live):
-            tr = t_ring[live]
-            ring = (
-                profile.overshoot_frac
-                * swing
-                * np.exp(-profile.ringing_damping * profile.ringing_freq * tr)
-                * np.sin(2.0 * np.pi * profile.ringing_freq * tr)
-            )
-            # the fall gate also winds the ringing down so the ramp stays smooth
-            fall_gate = 0.5 + 0.5 * np.cos(np.pi * u_fall[live])
-            pulse[live] += ring * fall_gate
-    x[i0:i1] += pulse
+        tr = t_ring[live]
+        ring = (
+            tx.overshoot_frac
+            * p_swing[live]
+            * np.exp(-tx.ringing_damping * tx.ringing_freq * tr)
+            * np.sin(2.0 * np.pi * tx.ringing_freq * tr)
+        )
+        pulse[live] += ring * fall_gate[live]
 
+    # half-sine bumps over the null between two like bits:
+    # [ceil(t_a*fs), floor(t_b*fs) + 1), clipped, for t_b > t_a
+    like = bits[:, :-1] == bits[:, 1:]
+    bump_word = np.nonzero(like)[0]
+    t_a = (fall_at[:, :-1] + fall_dur)[like]
+    t_b = rise_at[:, 1:][like]
+    amplitude = np.where(bits[:, :-1][like], -1.0, 1.0) * tx.null_shape_gain
+    kept = (t_b > t_a) & (amplitude != 0.0)
+    bump_word, t_a, t_b, amplitude = bump_word[kept], t_a[kept], t_b[kept], amplitude[kept]
+    j0 = np.maximum(0, np.ceil(t_a * fs).astype(np.int64))
+    j1 = np.minimum(n, np.floor(t_b * fs).astype(np.int64) + 1)
+    b_owner, b_idx = _ragged(j0, j1)
+    u = (b_idx / fs - t_a[b_owner]) / (t_b - t_a)[b_owner]
+    bump = amplitude[b_owner] * np.sin(np.pi * u)
 
-def _paint_null_bump(x, fs, t_a, t_b, amplitude):
-    """Half-cosine bump over the flat null between two like bits."""
-    if t_b <= t_a or amplitude == 0.0:
-        return
-    n = len(x)
-    i0 = max(0, int(np.ceil(t_a * fs)))
-    i1 = min(n, int(np.floor(t_b * fs)) + 1)
-    if i1 <= i0:
-        return
-    t = np.arange(i0, i1) / fs
-    u = (t - t_a) / (t_b - t_a)
-    x[i0:i1] += amplitude * np.sin(np.pi * u)
+    # one unbuffered add in the loop's order: x[idx] += v would drop repeats
+    key = np.concatenate([2 * (p_owner // WORD_BITS), 2 * bump_word[b_owner] + 1])
+    order = np.argsort(key, kind="stable")
+    np.add.at(x, np.concatenate([p_idx, b_idx])[order], np.concatenate([pulse, bump])[order])
 
 
 def _apply_load(x, load, fs):
@@ -208,7 +256,8 @@ def synthesize_stream(
     span_bits = WORD_BITS + gap_bits
     spb = fs * bit_period
 
-    n_words = len(word_values)
+    values = np.array([check_word(v) for v in word_values], dtype=np.uint64)
+    n_words = len(values)
     word_starts = np.array(
         [round(k * span_bits * spb) for k in range(n_words)], dtype=np.int64
     )
@@ -218,26 +267,21 @@ def synthesize_stream(
     rng = np.random.default_rng(seed)
     rise_dur = tx.rise_time / _RAMP_10_90_FRACTION
     fall_dur = tx.fall_time / _RAMP_10_90_FRACTION
+    shifts = np.arange(WORD_BITS - 1, -1, -1, dtype=np.uint64)
+    bit_offsets = np.arange(WORD_BITS) * bit_period
 
-    for k, value in enumerate(word_values):
-        bits = to_bits_msb_first(value)
-        t0 = k * span_bits * bit_period
-        jitter = rng.normal(0.0, tx.timing_jitter, size=(WORD_BITS, 2))
-        rise_at = t0 + np.arange(WORD_BITS) * bit_period + jitter[:, 0]
-        fall_at = rise_at - jitter[:, 0] + _FALL_START_FRACTION * bit_period + jitter[:, 1]
-        for i, bit in enumerate(bits):
-            level = tx.hi_volts if bit else tx.lo_volts
-            _paint_pulse(
-                x, fs, level - tx.null_volts,
-                rise_at[i], rise_dur, fall_at[i], fall_dur, tx,
-            )
-        for i in range(WORD_BITS - 1):
-            if bits[i] == bits[i + 1]:
-                sign = -1.0 if bits[i] else 1.0
-                _paint_null_bump(
-                    x, fs, fall_at[i] + fall_dur, rise_at[i + 1],
-                    sign * tx.null_shape_gain,
-                )
+    for k0 in range(0, n_words, _BLOCK_WORDS):
+        block = values[k0 : k0 + _BLOCK_WORDS]
+        bits = ((block[:, None] >> shifts) & np.uint64(1)).astype(bool)
+        t0 = np.arange(k0, k0 + len(block)) * span_bits * bit_period
+        # one (words, 32, 2) draw is the same PCG64 stream as one (32, 2)
+        # draw per word
+        jitter = rng.normal(0.0, tx.timing_jitter, size=(len(block), WORD_BITS, 2))
+        rise_at = t0[:, None] + bit_offsets + jitter[:, :, 0]
+        fall_at = (
+            rise_at - jitter[:, :, 0] + _FALL_START_FRACTION * bit_period + jitter[:, :, 1]
+        )
+        _paint_block(x, fs, tx, bits, rise_at, fall_at, rise_dur, fall_dur)
 
     for load in loads:
         x = _apply_load(x, load, fs)

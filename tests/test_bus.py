@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from a429ids import bus
 from a429ids.bus import ReceiverLoad, TransmitterProfile
-from a429ids.words import DEFAULT_WORD_SET
+from a429ids.words import DEFAULT_WORD_SET, WORD_BITS, to_bits_msb_first
 
 SPB = bus.DEFAULT_SAMPLES_PER_BIT
 
@@ -241,3 +243,201 @@ def test_profile_json_codec():
         bus.profile_from_dict({"hi_volts": 10.0, "bogus": 1})
     load = ReceiverLoad(cutoff_freq=1.5e6, gain=0.98)
     assert bus.load_from_dict(bus.load_to_dict(load)) == load
+
+
+# ---------------------------------------------------------------------------
+# Block synthesis against the per-bit loop it replaced
+
+
+def _paint_pulse(x, fs, swing, rise_t0, rise_dur, fall_t0, fall_dur, profile):
+    """Add one return-to-zero pulse (and its ringing) onto the sample grid."""
+    n = len(x)
+    i0 = max(0, int(np.floor(rise_t0 * fs)))
+    i1 = min(n, int(np.ceil((fall_t0 + fall_dur) * fs)) + 1)
+    if i1 <= i0:
+        return None
+    t = np.arange(i0, i1) / fs
+    u_rise = np.clip((t - rise_t0) / rise_dur, 0.0, 1.0)
+    u_fall = np.clip((t - fall_t0) / fall_dur, 0.0, 1.0)
+    gate = (0.5 - 0.5 * np.cos(np.pi * u_rise)) * (0.5 + 0.5 * np.cos(np.pi * u_fall))
+    pulse = swing * gate
+    if profile.overshoot_frac > 0.0:
+        t_ring = t - (rise_t0 + rise_dur)
+        live = t_ring > 0.0
+        if np.any(live):
+            tr = t_ring[live]
+            ring = (
+                profile.overshoot_frac
+                * swing
+                * np.exp(-profile.ringing_damping * profile.ringing_freq * tr)
+                * np.sin(2.0 * np.pi * profile.ringing_freq * tr)
+            )
+            fall_gate = 0.5 + 0.5 * np.cos(np.pi * u_fall[live])
+            pulse[live] += ring * fall_gate
+    x[i0:i1] += pulse
+    return i0, i1
+
+
+def _paint_null_bump(x, fs, t_a, t_b, amplitude):
+    """Half-cosine bump over the flat null between two like bits."""
+    if t_b <= t_a or amplitude == 0.0:
+        return None
+    n = len(x)
+    i0 = max(0, int(np.ceil(t_a * fs)))
+    i1 = min(n, int(np.floor(t_b * fs)) + 1)
+    if i1 <= i0:
+        return None
+    t = np.arange(i0, i1) / fs
+    u = (t - t_a) / (t_b - t_a)
+    x[i0:i1] += amplitude * np.sin(np.pi * u)
+    return i0, i1
+
+
+def _reference_stream(tx, loads, word_values, gap_bits=4, seed=0, sample_rate=None):
+    """The per-word, per-bit synthesis loop, kept as the reference.
+
+    Returns the trace and the painted windows as (word, i0, i1), in the
+    order they were added.
+    """
+    fs = float(sample_rate if sample_rate is not None else SPB * tx.bit_rate)
+    bit_period = 1.0 / tx.bit_rate
+    span_bits = WORD_BITS + gap_bits
+    spb = fs * bit_period
+    n_words = len(word_values)
+    word_starts = np.array([round(k * span_bits * spb) for k in range(n_words)], dtype=np.int64)
+    n_total = round(n_words * span_bits * spb)
+    x = np.full(n_total, tx.null_volts, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    rise_dur = tx.rise_time / bus._RAMP_10_90_FRACTION
+    fall_dur = tx.fall_time / bus._RAMP_10_90_FRACTION
+    windows = []
+    for k, value in enumerate(word_values):
+        bits = to_bits_msb_first(value)
+        t0 = k * span_bits * bit_period
+        jitter = rng.normal(0.0, tx.timing_jitter, size=(WORD_BITS, 2))
+        rise_at = t0 + np.arange(WORD_BITS) * bit_period + jitter[:, 0]
+        fall_at = rise_at - jitter[:, 0] + bus._FALL_START_FRACTION * bit_period + jitter[:, 1]
+        for i, bit in enumerate(bits):
+            level = tx.hi_volts if bit else tx.lo_volts
+            window = _paint_pulse(
+                x, fs, level - tx.null_volts, rise_at[i], rise_dur, fall_at[i], fall_dur, tx
+            )
+            if window:
+                windows.append((k, *window))
+        for i in range(WORD_BITS - 1):
+            if bits[i] == bits[i + 1]:
+                sign = -1.0 if bits[i] else 1.0
+                window = _paint_null_bump(
+                    x, fs, fall_at[i] + fall_dur, rise_at[i + 1], sign * tx.null_shape_gain
+                )
+                if window:
+                    windows.append((k, *window))
+    for load in loads:
+        x = bus._apply_load(x, load, fs)
+    if n_total:
+        x = x + rng.normal(0.0, tx.noise_sigma, size=n_total)
+    return bus.Trace(fs, tx.bit_rate, x, word_starts), windows
+
+
+def _assert_same_trace(tx, loads, values, **kwargs):
+    got = bus.synthesize_stream(tx, loads, values, **kwargs)
+    want, windows = _reference_stream(tx, loads, values, **kwargs)
+    assert got.sample_rate == want.sample_rate
+    assert np.array_equal(got.word_starts, want.word_starts)
+    assert got.samples.tobytes() == want.samples.tobytes()
+    return got, windows
+
+
+_CYCLE = [DEFAULT_WORD_SET[i % len(DEFAULT_WORD_SET)] for i in range(40)]
+_RANDOM = [int(v) for v in np.random.default_rng(7).integers(0, 2**32, 200)]
+# the benchmark's profiles: eval-rx-poly's guarded and receiver-switched
+# devices, monitor-tx-raw's rogue transmitter
+_BENCH_TX = TransmitterProfile(noise_sigma=0.10, overshoot_frac=0.03)
+_ROGUE_TX = TransmitterProfile(
+    hi_volts=10.4, lo_volts=-10.4, rise_time=1.85e-6, fall_time=1.85e-6, overshoot_frac=0.10
+)
+
+
+@pytest.mark.parametrize(
+    "tx, loads, values, kwargs",
+    [
+        (_BENCH_TX, [ReceiverLoad(cutoff_freq=1.2e6)], _CYCLE, {"seed": 11}),
+        (_BENCH_TX, [ReceiverLoad(cutoff_freq=0.9e6, gain=0.998)], _CYCLE, {"seed": 12}),
+        (_ROGUE_TX, [ReceiverLoad(cutoff_freq=1.2e6)], _CYCLE, {"seed": 13}),
+        (TransmitterProfile(overshoot_frac=0.0), [ReceiverLoad()], _RANDOM[:20], {}),
+        (TransmitterProfile(timing_jitter=0.0), [ReceiverLoad()], _RANDOM[:20], {}),
+        (TransmitterProfile(), [ReceiverLoad()], _RANDOM[:20], {"sample_rate": 1e6}),
+        (TransmitterProfile(), [ReceiverLoad()], _RANDOM[:6], {"sample_rate": 50e6}),
+        (TransmitterProfile(), [ReceiverLoad()], _RANDOM[:20], {"gap_bits": 7}),
+        (TransmitterProfile(), [], _RANDOM[:50], {"seed": 3}),
+        (TransmitterProfile(), [ReceiverLoad()], [0xA5A5A5A5], {"seed": 4}),
+        (TransmitterProfile(), [ReceiverLoad()], [], {}),
+        (TransmitterProfile(), [], _RANDOM[: bus._BLOCK_WORDS + 1], {"seed": 5}),
+    ],
+    ids=[
+        "guarded", "rx-switched", "rogue-tx", "overshoot-0", "jitter-0", "1MSps",
+        "50MSps", "gap-7", "random", "single", "empty", "block-plus-one",
+    ],
+)
+def test_block_synthesis_matches_per_bit_loop(tx, loads, values, kwargs):
+    _assert_same_trace(tx, loads, values, **kwargs)
+
+
+@pytest.mark.parametrize("sample_rate", [5e6, 1e6])
+def test_overlapping_windows_add_in_loop_order(sample_rate):
+    # jitter of two bit periods makes windows of neighbouring words overlap,
+    # and a non-zero null makes the sums depend on the order of addition
+    tx = TransmitterProfile(timing_jitter=2e-5, null_volts=0.3)
+    trace, windows = _assert_same_trace(tx, [], _RANDOM, seed=8, sample_rate=sample_rate)
+    last_word = np.full(len(trace.samples), -1)
+    shared = 0
+    for k, i0, i1 in windows:
+        seen = last_word[i0:i1]
+        shared += np.count_nonzero((seen >= 0) & (seen != k))
+        last_word[i0:i1] = k
+    assert shared > 0
+
+
+@pytest.mark.parametrize(
+    "bad, error, message",
+    [
+        (True, TypeError, "word value must be an int, got bool"),
+        (np.int64(5), TypeError, "word value must be an int, got int64"),
+        (2**32, ValueError, "word value out of 32-bit range: 4294967296"),
+        (-1, ValueError, "word value out of 32-bit range: -1"),
+    ],
+)
+def test_bad_word_rejected_before_painting(monkeypatch, bad, error, message):
+    def no_painting(*args):
+        raise AssertionError("painted before every word was checked")
+
+    monkeypatch.setattr(bus, "_paint_block", no_painting)
+    values = [0x0] * (bus._BLOCK_WORDS + 3) + [bad]
+    with pytest.raises(error, match=f"^{message}$"):
+        bus.synthesize_stream(TransmitterProfile(), [], values)
+
+
+def test_gap_and_load_messages():
+    tx = TransmitterProfile()
+    with pytest.raises(ValueError, match="^gap_bits must be >= 4, got 3$"):
+        bus.synthesize_stream(tx, [], [True], gap_bits=3)
+    cutoff = "^load cutoff 50000 Hz must exceed the bit rate 100000 Hz$"
+    with pytest.raises(ValueError, match=cutoff):
+        bus.synthesize_stream(tx, [ReceiverLoad(cutoff_freq=5e4)], [-1])
+    with pytest.raises(ValueError, match="^load gain must be positive: 0.0$"):
+        bus.synthesize_stream(tx, [ReceiverLoad(gain=0.0)], [0x0])
+
+
+def test_synthesis_memory_stays_near_the_trace():
+    # the trace, the load filter's output and its gain product set the peak
+    # (3x the trace); a block's temporaries stay far below that, while a
+    # whole-stream kernel's grow with the stream
+    tx = TransmitterProfile()
+    values = [DEFAULT_WORD_SET[i % len(DEFAULT_WORD_SET)] for i in range(500)]
+    tracemalloc.start()
+    try:
+        trace = bus.synthesize_stream(tx, [ReceiverLoad()], values, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * trace.samples.nbytes
