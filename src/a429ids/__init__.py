@@ -24,6 +24,7 @@ from .detector import (
     classify_word,
     classify_words,
     counter_step,
+    first_passage,
     load_detector,
     run_labels,
     run_stream,

@@ -225,7 +225,8 @@ def _apply_load(x, load, fs):
         return x * load.gain
     a = 1.0 - np.exp(-2.0 * np.pi * load.cutoff_freq / fs)
     y, _ = sps.lfilter([a], [1.0, a - 1.0], x, zi=[(1.0 - a) * x[0]])
-    return load.gain * y
+    y *= load.gain
+    return y
 
 
 def synthesize_stream(
@@ -286,7 +287,7 @@ def synthesize_stream(
     for load in loads:
         x = _apply_load(x, load, fs)
     if n_total:
-        x = x + rng.normal(0.0, tx.noise_sigma, size=n_total)
+        x += rng.normal(0.0, tx.noise_sigma, size=n_total)
 
     return Trace(fs, tx.bit_rate, x, word_starts)
 

@@ -9,6 +9,10 @@ skipped outright - they shrink the voting universe instead of counting as
 free normal votes. The suspicion counter then turns per-word labels into
 an alarm: +1 on an anomaly, -1 on a normal word with a floor at zero, and
 an absorbing alarm once it reaches t_suspicion.
+
+`first_passage` is the counter's one kernel: the alarm word of every
+t_suspicion for many label streams at once. `run_labels` and the evaluation
+protocols use it; `SuspicionCounter` and `counter_step` stream word by word.
 """
 
 from __future__ import annotations
@@ -125,17 +129,54 @@ def counter_step(counter: SuspicionCounter, is_anomaly: bool) -> SuspicionCounte
     return replace(counter, value=value, alarmed=value >= counter.t_suspicion)
 
 
+def first_passage(labels, max_level: int, start: int = 0) -> np.ndarray:
+    """First-passage word counts of the counter at every level 0..max_level.
+
+    ``labels`` is a (reps, n) bool matrix, one label stream per row. Entry
+    [r, L] of the (reps, max_level + 1) int64 result is the 1-based index of
+    the first word after which row r's counter, started at ``start``, stands
+    at L or above (the alarm word of a counter with t_suspicion = L), or 0
+    where it never does. The floor-at-zero walk is Lindley's recursion in
+    closed form: W = S - min(-start, running min of S), with S the
+    cumulative sum of the +1/-1 steps. W moves in unit steps, so its running
+    maximum climbs through the levels one word at a time.
+    """
+    labels = np.asarray(labels, dtype=bool)
+    if labels.ndim != 2:
+        raise ValueError(f"labels must be a (reps, n) matrix, got shape {labels.shape}")
+    reps, n = labels.shape
+    hits = np.zeros((reps, max_level + 1), dtype=np.int64)
+    if n == 0:
+        return hits
+    walk = np.where(labels, np.int32(1), np.int32(-1))
+    np.cumsum(walk, axis=1, out=walk)
+    top = np.minimum.accumulate(walk, axis=1)
+    np.minimum(top, -start, out=top)
+    walk -= top
+    np.maximum.accumulate(walk, axis=1, out=top)
+    del walk
+    np.minimum(top, max_level, out=top)  # deeper levels are never inspected
+    hits[np.arange(max_level + 1) <= top[:, :1]] = 1
+    rows, cols = np.nonzero(top[:, 1:] > top[:, :-1])
+    hits[rows, top[rows, cols + 1]] = cols + 2
+    return hits
+
+
 def run_labels(counter: SuspicionCounter, labels) -> int | None:
     """Feed per-word labels through the counter.
 
     Returns the 1-based index of the word that raised the alarm, or None if
-    the stream ends unalarmed.
+    the stream ends unalarmed. An alarmed counter alarms at the first word.
     """
-    for i, is_anomaly in enumerate(labels, start=1):
-        counter = counter_step(counter, bool(is_anomaly))
-        if counter.alarmed:
-            return i
-    return None
+    labels = np.asarray(labels, dtype=bool)
+    if labels.ndim != 1:
+        raise ValueError(f"labels must be a 1-d sequence, got shape {labels.shape}")
+    if counter.alarmed:
+        return 1 if len(labels) else None
+    if counter.t_suspicion > counter.value + len(labels):
+        return None  # out of reach, and first_passage would allocate every level
+    alarm = first_passage(labels[None, :], counter.t_suspicion, counter.value)[0, -1]
+    return int(alarm) or None
 
 
 def run_stream(detector: WordDetector, counter: SuspicionCounter, word_stream) -> int | None:

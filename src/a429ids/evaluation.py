@@ -7,8 +7,11 @@ misdetection rate on rogue words, and sweeps the voting threshold to get
 an EER. The complete-method evaluations reuse the held-out per-word labels:
 the counter false-alarm protocol replays the same test words under random
 cyclic shifts, and the detection-time protocol measures words-until-alarm
-on rogue streams the same way. Everything derives from the scenario seed,
-so reports are byte-identical across runs.
+on rogue streams the same way, all repetitions and thresholds at once
+through `detector.first_passage`. `build_report` makes the one synthesis and
+training pass; each `run_*` protocol returns one field of its report.
+Everything derives from the scenario seed, so reports are byte-identical
+across runs.
 """
 
 from __future__ import annotations
@@ -140,39 +143,23 @@ def _device_segments(scenario: Scenario, setup: BusSetup, purpose: int):
     return segments, trace
 
 
-@dataclass
-class _EvalData:
-    detector: det.WordDetector
-    normal_test_votes: np.ndarray
-    rogue_votes: list[np.ndarray]
-
-
 def _prepare(
-    scenario: Scenario,
-    set_id: FeatureSet,
-    t_votes: int,
-    k: int,
-    contamination: float,
-) -> _EvalData:
-    scenario.validate()
+    scenario: Scenario, set_id: FeatureSet, t_votes: int, k: int, contamination: float
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Normal votes of the held-out guarded words and votes of each rogue's
+    words, from a detector trained on the first 60% of the guarded words."""
     normal_segments, trace = _device_segments(scenario, scenario.guarded, _SEED_GUARDED)
     n_train = round(TRAIN_FRACTION * len(normal_segments))
-    dt = 1.0 / trace.sample_rate
     trained = det.train_detector(
-        normal_segments[:n_train],
-        set_id,
-        t_votes,
-        k=k,
-        contamination=contamination,
-        sample_interval=dt,
+        normal_segments[:n_train], set_id, t_votes,
+        k=k, contamination=contamination, sample_interval=1.0 / trace.sample_rate,
     )
     _, test_votes = det.classify_words(trained, normal_segments[n_train:])
     rogue_votes = []
     for ri, rogue in enumerate(scenario.rogues):
         segments, _ = _device_segments(scenario, rogue, _SEED_ROGUE_BASE + ri)
-        _, votes = det.classify_words(trained, segments)
-        rogue_votes.append(votes)
-    return _EvalData(detector=trained, normal_test_votes=test_votes, rogue_votes=rogue_votes)
+        rogue_votes.append(det.classify_words(trained, segments)[1])
+    return test_votes, rogue_votes
 
 
 def _curves_from_votes(normal_votes: np.ndarray, rogue_votes: list[np.ndarray]) -> ErrorCurves:
@@ -186,18 +173,6 @@ def _curves_from_votes(normal_votes: np.ndarray, rogue_votes: list[np.ndarray]) 
 
 # ---------------------------------------------------------------------------
 # Single-word protocol
-
-
-def run_single_word_eval(
-    scenario: Scenario,
-    set_id: FeatureSet,
-    k: int = lof.DEFAULT_K,
-    contamination: float = lof.DEFAULT_CONTAMINATION,
-) -> ErrorCurves:
-    """Train on 60% of the guarded words; FAR from the held-out 40%, MDR
-    from the rogue words, both swept over t_votes 0..127."""
-    data = _prepare(scenario, set_id, DEFAULT_T_VOTES, k, contamination)
-    return _curves_from_votes(data.normal_test_votes, data.rogue_votes)
 
 
 def compute_eer(curves: ErrorCurves) -> float:
@@ -239,44 +214,105 @@ def fa_per_sec(
 # Complete-method protocols (counter on top of the votes)
 
 
-def _rotations(labels: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """(reps, n) matrix of cyclic rotations of a label vector."""
+def _shifted_first_passage(labels, reps: int, max_level: int, rng: np.random.Generator):
+    """`detector.first_passage` over ``reps`` random cyclic shifts of one
+    label stream."""
     n = len(labels)
-    index = (np.arange(n)[None, :] + shifts[:, None]) % n
-    return labels[index]
-
-
-def _running_max_levels(label_matrix: np.ndarray, max_level: int) -> np.ndarray:
-    """First-passage word counts of the counter for every level 1..max_level.
-
-    Runs the floor-at-zero walk (+1 anomaly, -1 normal) per row; because the
-    walk moves in unit steps, the first time it touches level L equals the
-    absorption time of a counter with t_suspicion = L. Returns an array
-    (reps, max_level + 1) of 1-based word indices, 0 where never reached.
-    """
-    reps, n = label_matrix.shape
-    value = np.zeros(reps, dtype=np.int64)
-    best = np.zeros(reps, dtype=np.int64)
-    hits = np.zeros((reps, max_level + 1), dtype=np.int64)
-    for t in range(n):
-        step = np.where(label_matrix[:, t], 1, -1)
-        value = np.maximum(value + step, 0)
-        value = np.minimum(value, max_level)  # deeper levels are never inspected
-        reached = value > best
-        if np.any(reached):
-            rows = np.nonzero(reached)[0]
-            hits[rows, value[rows]] = t + 1
-            best[rows] = value[rows]
-    return hits
+    shifts = rng.integers(0, n, size=reps)
+    return det.first_passage(np.asarray(labels)[(np.arange(n) + shifts[:, None]) % n], max_level)
 
 
 def _counter_far_from_labels(
     labels: np.ndarray, reps: int, grid, rng: np.random.Generator
 ) -> dict[int, float]:
-    shifts = rng.integers(0, len(labels), size=reps)
-    matrix = _rotations(labels, shifts)
-    hits = _running_max_levels(matrix, max(grid))
+    hits = _shifted_first_passage(labels, reps, max(grid), rng)
     return {int(ts): float(np.mean(hits[:, ts] > 0)) for ts in grid}
+
+
+def _detection_time_from_labels(
+    per_variant_labels, reps: int, grid, rng: np.random.Generator, words_per_s: float
+) -> dict[int, DetectionTimeStat]:
+    hits = np.vstack([
+        _shifted_first_passage(labels, reps, max(grid), rng) for labels in per_variant_labels
+    ])
+    out: dict[int, DetectionTimeStat] = {}
+    for ts in grid:
+        times = hits[:, ts]
+        observed = times[times > 0]
+        stat = DetectionTimeStat(None, None, censored=len(times) - len(observed), reps=len(times))
+        if len(observed):
+            stat.max_words, stat.mean_words = int(observed.max()), float(observed.mean())
+            stat.max_seconds = float(observed.max() / words_per_s)
+            stat.mean_seconds = float(observed.mean() / words_per_s)
+        out[int(ts)] = stat
+    return out
+
+
+def build_report(
+    scenario: Scenario,
+    set_id: FeatureSet,
+    t_votes: int = DEFAULT_T_VOTES,
+    reps: int = DEFAULT_REPS,
+    test_words: int | None = None,
+    t_suspicion_grid=DEFAULT_T_SUSPICION_GRID,
+    words_per_s: float = DEFAULT_WORDS_PER_SECOND,
+    k: int = lof.DEFAULT_K,
+    contamination: float = lof.DEFAULT_CONTAMINATION,
+) -> Report:
+    """Run the whole protocol once (one synthesis + training pass).
+
+    The protocol arguments are checked before any synthesis. ``test_words``
+    (default: every held-out word) must lie in [1, held-out words].
+    """
+    scenario.validate()
+    grid = list(t_suspicion_grid)
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
+    if not grid:
+        raise ValueError("t_suspicion_grid is empty")
+    if min(grid) < 1:
+        raise ValueError(f"t_suspicion_grid values must be >= 1, got {min(grid)}")
+    # _prepare holds out the words after the first 60%, one per word marker
+    held_out = scenario.words_per_device - round(TRAIN_FRACTION * scenario.words_per_device)
+    if test_words is None:
+        test_words = held_out
+    if test_words < 1:
+        raise ValueError(f"test_words must be >= 1, got {test_words}")
+    if test_words > held_out:
+        raise ValueError(f"test set has {held_out} words, need {test_words}")
+    test_votes, rogue_votes = _prepare(scenario, set_id, t_votes, k, contamination)
+    curves = _curves_from_votes(test_votes, rogue_votes)
+    eer = compute_eer(curves)
+    counter_far = _counter_far_from_labels(
+        test_votes[:test_words] <= t_votes, reps, grid, _rng(scenario.seed, _SEED_FAR_SHIFTS)
+    )
+    detection = _detection_time_from_labels(
+        [votes <= t_votes for votes in rogue_votes],
+        reps, grid, _rng(scenario.seed, _SEED_TIME_SHIFTS), words_per_s,
+    )
+    return Report(
+        feature_set=set_id.value,
+        t_votes=t_votes,
+        curves=curves,
+        eer=eer,
+        fa_per_sec=fa_per_sec(eer, scenario.guarded.tx.bit_rate),
+        counter_far=counter_far,
+        detection_time=detection,
+        words_per_s=words_per_s,
+        reps=reps,
+        seed=scenario.seed,
+    )
+
+
+def run_single_word_eval(
+    scenario: Scenario,
+    set_id: FeatureSet,
+    k: int = lof.DEFAULT_K,
+    contamination: float = lof.DEFAULT_CONTAMINATION,
+) -> ErrorCurves:
+    """Train on 60% of the guarded words; FAR from the held-out 40%, MDR
+    from the rogue words, both swept over t_votes 0..127."""
+    return build_report(scenario, set_id, k=k, contamination=contamination).curves
 
 
 def run_counter_far(
@@ -291,47 +327,10 @@ def run_counter_far(
 ) -> dict[int, float]:
     """Fraction of cyclic-shift repetitions in which purely normal data
     raised an alarm, per t_suspicion."""
-    data = _prepare(scenario, set_id, t_votes, k, contamination)
-    if len(data.normal_test_votes) < test_words:
-        raise ValueError(
-            f"test set has {len(data.normal_test_votes)} words, need {test_words}"
-        )
-    labels = data.normal_test_votes[:test_words] <= t_votes
-    return _counter_far_from_labels(
-        labels, reps, t_suspicion_grid, _rng(scenario.seed, _SEED_FAR_SHIFTS)
-    )
-
-
-def _detection_time_from_labels(
-    per_variant_labels, reps: int, grid, rng: np.random.Generator, words_per_s: float
-) -> dict[int, DetectionTimeStat]:
-    max_level = max(grid)
-    all_hits = []
-    for labels in per_variant_labels:
-        shifts = rng.integers(0, len(labels), size=reps)
-        matrix = _rotations(np.asarray(labels), shifts)
-        all_hits.append(_running_max_levels(matrix, max_level))
-    hits = np.vstack(all_hits)
-    out: dict[int, DetectionTimeStat] = {}
-    for ts in grid:
-        times = hits[:, ts]
-        observed = times[times > 0]
-        censored = int(np.sum(times == 0))
-        if len(observed):
-            stat = DetectionTimeStat(
-                max_words=int(observed.max()),
-                mean_words=float(observed.mean()),
-                censored=censored,
-                reps=len(times),
-                max_seconds=float(observed.max() / words_per_s),
-                mean_seconds=float(observed.mean() / words_per_s),
-            )
-        else:
-            stat = DetectionTimeStat(
-                max_words=None, mean_words=None, censored=censored, reps=len(times)
-            )
-        out[int(ts)] = stat
-    return out
+    return build_report(
+        scenario, set_id, t_votes, reps, test_words, t_suspicion_grid,
+        k=k, contamination=contamination,
+    ).counter_far
 
 
 def run_detection_time(
@@ -351,55 +350,10 @@ def run_detection_time(
     and excluded from the mean; the transmission of t_suspicion words is a
     hard lower bound on the result.
     """
-    data = _prepare(scenario, set_id, t_votes, k, contamination)
-    per_variant = [votes <= t_votes for votes in data.rogue_votes]
-    return _detection_time_from_labels(
-        per_variant, reps, t_suspicion_grid,
-        _rng(scenario.seed, _SEED_TIME_SHIFTS), words_per_s,
-    )
-
-
-def build_report(
-    scenario: Scenario,
-    set_id: FeatureSet,
-    t_votes: int = DEFAULT_T_VOTES,
-    reps: int = DEFAULT_REPS,
-    test_words: int | None = None,
-    t_suspicion_grid=DEFAULT_T_SUSPICION_GRID,
-    words_per_s: float = DEFAULT_WORDS_PER_SECOND,
-    k: int = lof.DEFAULT_K,
-    contamination: float = lof.DEFAULT_CONTAMINATION,
-) -> Report:
-    """Run the whole protocol once (one synthesis + training pass)."""
-    data = _prepare(scenario, set_id, t_votes, k, contamination)
-    curves = _curves_from_votes(data.normal_test_votes, data.rogue_votes)
-    eer = compute_eer(curves)
-    if test_words is None:
-        test_words = len(data.normal_test_votes)
-    if len(data.normal_test_votes) < test_words:
-        raise ValueError(
-            f"test set has {len(data.normal_test_votes)} words, need {test_words}"
-        )
-    normal_labels = data.normal_test_votes[:test_words] <= t_votes
-    counter_far = _counter_far_from_labels(
-        normal_labels, reps, t_suspicion_grid, _rng(scenario.seed, _SEED_FAR_SHIFTS)
-    )
-    detection = _detection_time_from_labels(
-        [votes <= t_votes for votes in data.rogue_votes],
-        reps, t_suspicion_grid, _rng(scenario.seed, _SEED_TIME_SHIFTS), words_per_s,
-    )
-    return Report(
-        feature_set=set_id.value,
-        t_votes=t_votes,
-        curves=curves,
-        eer=eer,
-        fa_per_sec=fa_per_sec(eer, scenario.guarded.tx.bit_rate),
-        counter_far=counter_far,
-        detection_time=detection,
-        words_per_s=words_per_s,
-        reps=reps,
-        seed=scenario.seed,
-    )
+    return build_report(
+        scenario, set_id, t_votes, reps, t_suspicion_grid=t_suspicion_grid,
+        words_per_s=words_per_s, k=k, contamination=contamination,
+    ).detection_time
 
 
 # ---------------------------------------------------------------------------

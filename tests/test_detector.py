@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,6 +155,15 @@ def test_run_labels():
     assert det.run_labels(c, labels) == 5
 
 
+def _stepped_alarm(counter, labels):
+    """Alarm index of a word-by-word counter_step loop, or None."""
+    for i, is_anomaly in enumerate(labels, start=1):
+        counter = counter_step(counter, bool(is_anomaly))
+        if counter.alarmed:
+            return i
+    return None
+
+
 def test_run_labels_matches_oracle():
     rng = np.random.default_rng(44)
     for _ in range(50):
@@ -162,6 +172,53 @@ def test_run_labels_matches_oracle():
         assert det.run_labels(SuspicionCounter(t_suspicion=t), labels) == (
             counter_walk_alarm(labels, t)
         )
+    # a counter that already stands at a non-zero value starts its walk there
+    for t in range(1, 8):
+        for value in range(t):
+            counter = SuspicionCounter(t_suspicion=t, value=value)
+            for _ in range(10):
+                labels = rng.random(int(rng.integers(0, 60))) < rng.random()
+                assert det.run_labels(counter, labels) == _stepped_alarm(counter, labels)
+                assert det.run_labels(counter, labels.tolist()) == _stepped_alarm(counter, labels)
+            assert det.run_labels(counter, []) is None
+    alarmed = SuspicionCounter(t_suspicion=3, value=3, alarmed=True)
+    for labels in ([False], [False, True, False], [True] * 5):
+        assert det.run_labels(alarmed, labels) == 1 == _stepped_alarm(alarmed, labels)
+    assert det.run_labels(alarmed, []) is None and _stepped_alarm(alarmed, []) is None
+    # a threshold beyond the stream's reach allocates no level table
+    assert det.run_labels(SuspicionCounter(t_suspicion=10**12, value=3), [True] * 5) is None
+
+
+def test_first_passage_matches_oracle_at_every_level():
+    rng = np.random.default_rng(45)
+    for _ in range(40):
+        reps, n = int(rng.integers(1, 10)), int(rng.integers(0, 150))
+        max_level = int(rng.integers(1, 30))
+        labels = rng.random((reps, n)) < rng.random()
+        hits = det.first_passage(labels, max_level)
+        assert hits.shape == (reps, max_level + 1) and hits.dtype == np.int64
+        for r in range(reps):
+            for level in range(max_level + 1):
+                assert hits[r, level] == (counter_walk_alarm(labels[r], level) or 0)
+
+
+def test_first_passage_memory_is_bounded():
+    labels = np.random.default_rng(46).random((1000, 500)) < 0.5
+    tracemalloc.start()
+    try:
+        det.first_passage(labels, 50)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # at most three (reps, n) temporaries, none wider than int32
+    assert peak <= 3 * labels.size * np.dtype(np.int32).itemsize
+
+
+def test_label_shapes_are_checked():
+    with pytest.raises(ValueError, match="1-d"):
+        det.run_labels(SuspicionCounter(t_suspicion=3), np.zeros((2, 5), dtype=bool))
+    with pytest.raises(ValueError, match="matrix"):
+        det.first_passage(np.zeros(5, dtype=bool), 3)
 
 
 def test_run_stream_end_to_end(trained, noisy_word_bank):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -254,3 +255,57 @@ def test_counter_far_requires_enough_test_words():
     scenario = _scenario(rogue_tx=SEPARATED_TX, seed=55)
     with pytest.raises(ValueError, match="test set"):
         ev.run_counter_far(scenario, FeatureSet.GENERIC, test_words=1968)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"reps": 0}, "reps must be >= 1, got 0"),
+    ({"reps": -1}, "reps must be >= 1, got -1"),
+    ({"t_suspicion_grid": []}, "t_suspicion_grid is empty"),
+    ({"t_suspicion_grid": range(0, 5)}, "t_suspicion_grid values must be >= 1, got 0"),
+    ({"test_words": 0}, "test_words must be >= 1, got 0"),
+    ({"test_words": -5}, "test_words must be >= 1, got -5"),
+    ({"test_words": 201}, "test set has 200 words, need 201"),
+])
+def test_build_report_checks_arguments_before_synthesis(kwargs, message, monkeypatch):
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("synthesis started before the arguments were checked")
+
+    monkeypatch.setattr(ev.bus, "synthesize_stream", no_synthesis)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ev.build_report(_scenario(), FeatureSet.GENERIC, **kwargs)
+
+
+def test_protocols_are_fields_of_one_report(monkeypatch):
+    # _prepare's votes depend on its arguments other than t_votes, which only
+    # sets the labels drawn from them later; one real pass serves every call
+    scenario = _scenario(rogue_tx=None, seed=52)
+    real_prepare, passes = ev._prepare, []
+
+    def prepare_once(*args):
+        key = args[:2] + args[3:]  # everything but t_votes
+        if not passes:
+            passes.append((key, real_prepare(*args)))
+        assert key == passes[0][0]
+        return passes[0][1]
+
+    monkeypatch.setattr(ev, "_prepare", prepare_once)
+    protocol = dict(t_votes=114, reps=100, t_suspicion_grid=range(1, 71))
+    report = ev.build_report(
+        scenario, FeatureSet.GENERIC, test_words=150, words_per_s=500.0, **protocol
+    )
+    # non-trivial fields: a counter FAR strictly between 0 and 1, and
+    # detection times observed, partly censored and wholly censored
+    assert any(0.0 < v < 1.0 for v in report.counter_far.values())
+    assert report.detection_time[1].censored == 0
+    assert 0 < report.detection_time[60].censored < 100
+    assert report.detection_time[70].mean_words is None
+
+    curves = ev.run_single_word_eval(scenario, FeatureSet.GENERIC)
+    assert np.array_equal(curves.far, report.curves.far)
+    assert np.array_equal(curves.mdr, report.curves.mdr)
+    assert ev.run_counter_far(
+        scenario, FeatureSet.GENERIC, test_words=150, **protocol
+    ) == report.counter_far
+    assert ev.run_detection_time(
+        scenario, FeatureSet.GENERIC, words_per_s=500.0, **protocol
+    ) == report.detection_time
