@@ -116,6 +116,12 @@ class SuspicionCounter:
             raise ValueError(f"t_suspicion must be >= 1, got {self.t_suspicion}")
         if not 0 <= self.value <= self.t_suspicion:
             raise ValueError(f"counter value {self.value} outside [0, {self.t_suspicion}]")
+        # counter_step raises the alarm exactly when the value reaches t_suspicion
+        if self.alarmed != (self.value == self.t_suspicion):
+            raise ValueError(
+                f"counter value {self.value} with alarmed={self.alarmed}: "
+                f"a counter is alarmed exactly at value {self.t_suspicion}"
+            )
 
 
 def counter_step(counter: SuspicionCounter, is_anomaly: bool) -> SuspicionCounter:

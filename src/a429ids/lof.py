@@ -34,11 +34,15 @@ Both paths list each row's neighbours by ascending training index, so the
 density and score sums add up in the same order and the two paths agree to
 the bit.
 
-Memory grows linearly with the training set: a fit holds neighbour arrays
-as wide as the largest neighbourhood (k entries, more where ties widen it)
-plus, on the dense path, up to two distance blocks of 34 MB each. The test
+Neighbourhoods are flat (row, training index, distance) lists, one entry per
+neighbour: about k per point, more where ties widen a neighbourhood, so a
+cluster of c duplicates costs about c^2 entries. Per-row sums over the lists
+use ``np.bincount``. On the dense path a fit also holds up to two distance
+blocks of 34 MB each, and a fitted model keeps only its own arrays. The test
 suite checks the tracemalloc peak of a fit on 47 000 x 4 points (tree path)
-against 160 MB and on 10 000 x 20 points (dense path) against 512 MB.
+against 160 MB, on 10 000 x 20 points (dense path) against 512 MB and on
+20 000 x 4 points with 1000 duplicates against 250 MB, and checks that a
+fitted model holds at most 1.5 times the bytes of its arrays.
 """
 
 from __future__ import annotations
@@ -111,7 +115,7 @@ def _distances(queries, train, cols):
 
 
 def _dense_pairs(queries, train, k, self_cols):
-    """(row, col, dist) of every neighbour from full distance rows.
+    """(kdist, row, col, dist) of every neighbour from full distance rows.
 
     ``self_cols`` holds each query row's own training index, which is not
     its neighbour, or is None when the queries are not training points.
@@ -122,14 +126,15 @@ def _dense_pairs(queries, train, k, self_cols):
         dist = cdist(queries[lo : lo + chunk], train)
         if self_cols is not None:
             dist[np.arange(len(dist)), self_cols[lo : lo + chunk]] = np.inf
-        kd = np.partition(dist, k - 1, axis=1)[:, k - 1]
+        # a copy: a view would keep the whole partitioned block alive
+        kd = np.partition(dist, k - 1, axis=1)[:, k - 1].copy()
         rows, cols = np.nonzero(dist <= kd[:, None])
-        found.append((rows + lo, cols, dist[rows, cols]))
+        found.append((kd, rows + lo, cols, dist[rows, cols]))
     return [np.concatenate(parts) for parts in zip(*found)]
 
 
 def _tree_pairs(queries, train, k, self_cols, tree):
-    """(row, col, dist) of every neighbour from k-d tree candidates."""
+    """(kdist, row, col, dist) of every neighbour from k-d tree candidates."""
     n = len(train)
     width = min(n, k + _TREE_EXTRA + int(self_cols is not None))
     cand_dist, cand = tree.query(queries, k=width)
@@ -137,7 +142,7 @@ def _tree_pairs(queries, train, k, self_cols, tree):
     dist = _distances(queries, train, cand)
     if self_cols is not None:
         dist[cand == self_cols[:, None]] = np.inf
-    kd = np.partition(dist, k - 1, axis=1)[:, k - 1]
+    kd = np.partition(dist, k - 1, axis=1)[:, k - 1].copy()
     keep = dist <= kd[:, None]
     # a row whose farthest candidate ties its k-distance may have more ties
     # beyond the candidates: the dense path searches it in full
@@ -148,14 +153,16 @@ def _tree_pairs(queries, train, k, self_cols, tree):
     rows, pos = np.nonzero(keep)
     cols, dist = cand[rows, pos], dist[rows, pos]
     if len(redo) == 0:
-        return rows, cols, dist
+        return kd, rows, cols, dist
 
-    r_rows, r_cols, r_dist = _dense_pairs(
+    r_kd, r_rows, r_cols, r_dist = _dense_pairs(
         queries[redo], train, k, None if self_cols is None else self_cols[redo]
     )
+    kd[redo] = r_kd
     rows = np.concatenate([rows, redo[r_rows]])
     order = np.argsort(rows, kind="stable")
     return (
+        kd,
         rows[order],
         np.concatenate([cols, r_cols])[order],
         np.concatenate([dist, r_dist])[order],
@@ -163,49 +170,31 @@ def _tree_pairs(queries, train, k, self_cols, tree):
 
 
 def _neighbours(queries, train, k, tree=None, self_rows=False):
-    """k-distances and padded neighbour cache of query rows.
+    """k-distances and flat neighbour lists of query rows.
 
-    Returns (kdist, idx, dist, ok), where row i of ``idx``/``dist`` lists
-    every training point within the row's k-distance, ties included, by
-    ascending training index; ``ok`` marks the filled entries and rows with
-    fewer neighbours than the pad width carry trailing invalid ones. With
-    ``self_rows`` query row i is training point i and is not its own
-    neighbour. ``tree`` (over ``train``) selects the tree path.
+    Returns (kdist, rows, cols, dist): training point ``cols[j]`` lies at
+    ``dist[j]`` from query row ``rows[j]``, within that row's k-distance,
+    ties included. Entries are ordered by row, then by ascending training
+    index. With ``self_rows`` query row i is training point i and is not its
+    own neighbour. ``tree`` (over ``train``) selects the tree path.
     """
     self_cols = np.arange(len(queries)) if self_rows else None
     if tree is None:
-        rows, cols, dist = _dense_pairs(queries, train, k, self_cols)
-    else:
-        rows, cols, dist = _tree_pairs(queries, train, k, self_cols, tree)
-    m = len(queries)
-    counts = np.bincount(rows, minlength=m)
-    pos = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
-    width = int(counts.max())
-    nbr_idx = np.zeros((m, width), dtype=np.int64)
-    nbr_dist = np.full((m, width), np.inf)
-    nbr_ok = np.zeros((m, width), dtype=bool)
-    nbr_idx[rows, pos] = cols
-    nbr_dist[rows, pos] = dist
-    nbr_ok[rows, pos] = True
-    # the k-th smallest neighbour distance is the row's k-distance
-    kdist = np.partition(nbr_dist, k - 1, axis=1)[:, k - 1]
-    return kdist, nbr_idx, nbr_dist, nbr_ok
+        return _dense_pairs(queries, train, k, self_cols)
+    return _tree_pairs(queries, train, k, self_cols, tree)
 
 
-def _lrd_from_cache(nbr_dist, nbr_ok, nbr_kdist):
-    """Local reachability density from a neighbour cache."""
-    counts = nbr_ok.sum(axis=1)
-    reach = np.maximum(nbr_dist, nbr_kdist)
-    mean_reach = np.where(nbr_ok, reach, 0.0).sum(axis=1) / counts
-    lrd = np.empty(len(mean_reach))
-    collapsed = mean_reach == 0.0
-    lrd[collapsed] = _DUPLICATE_LRD
-    lrd[~collapsed] = 1.0 / mean_reach[~collapsed]
+def _row_mean(rows, values, m):
+    """Mean of ``values`` over each of the m rows' neighbour entries."""
+    return np.bincount(rows, values, m) / np.bincount(rows, minlength=m)
+
+
+def _lrd(mean_reach):
+    """Local reachability density from mean reachability distances."""
+    lrd = np.full(len(mean_reach), _DUPLICATE_LRD)
+    spread = mean_reach > 0.0
+    lrd[spread] = 1.0 / mean_reach[spread]
     return lrd
-
-
-def _mean_neighbour_lrd(nbr_idx, nbr_ok, lrd):
-    return np.where(nbr_ok, lrd[nbr_idx], 0.0).sum(axis=1) / nbr_ok.sum(axis=1)
 
 
 def fit(points, k: int = DEFAULT_K, contamination: float = DEFAULT_CONTAMINATION) -> LofModel:
@@ -228,9 +217,9 @@ def fit(points, k: int = DEFAULT_K, contamination: float = DEFAULT_CONTAMINATION
     z = (x - mean) / scale
 
     tree = _build_tree(z)
-    kdist, nbr_idx, nbr_dist, nbr_ok = _neighbours(z, z, k, tree, self_rows=True)
-    lrd = _lrd_from_cache(nbr_dist, nbr_ok, kdist[nbr_idx])
-    scores = _mean_neighbour_lrd(nbr_idx, nbr_ok, lrd) / lrd
+    kdist, rows, cols, dist = _neighbours(z, z, k, tree, self_rows=True)
+    lrd = _lrd(_row_mean(rows, np.maximum(dist, kdist[cols]), n))
+    scores = _row_mean(rows, lrd[cols], n) / lrd
 
     threshold = float(np.quantile(scores, 1.0 - contamination))
     return LofModel(
@@ -254,9 +243,10 @@ def score(model: LofModel, queries) -> np.ndarray:
     z = (q - model.mean) / model.scale
     if len(z) == 0:
         return np.empty(0)
-    _, nbr_idx, nbr_dist, nbr_ok = _neighbours(z, model.train, model.k, model.tree)
-    lrd_q = _lrd_from_cache(nbr_dist, nbr_ok, model.kdist[nbr_idx])
-    return _mean_neighbour_lrd(nbr_idx, nbr_ok, model.lrd) / lrd_q
+    _, rows, cols, dist = _neighbours(z, model.train, model.k, model.tree)
+    m = len(z)
+    lrd_q = _lrd(_row_mean(rows, np.maximum(dist, model.kdist[cols]), m))
+    return _row_mean(rows, model.lrd[cols], m) / lrd_q
 
 
 def classify(model: LofModel, queries) -> np.ndarray:
@@ -277,16 +267,30 @@ def model_to_dict(model: LofModel) -> dict:
 
 
 def model_from_dict(data: dict) -> LofModel:
+    """Rebuild a model from ``model_to_dict``'s record, checking every shape."""
     try:
-        return LofModel(
-            train=np.asarray(data["train"], dtype=np.float64),
-            k=int(data["k"]),
-            kdist=np.asarray(data["kdist"], dtype=np.float64),
-            lrd=np.asarray(data["lrd"], dtype=np.float64),
-            threshold=float(data["threshold"]),
-            mean=np.asarray(data["scaler"]["mean"], dtype=np.float64),
-            scale=np.asarray(data["scaler"]["scale"], dtype=np.float64),
-            train_scores=np.asarray(data["train_scores"], dtype=np.float64),
-        )
+        train = np.asarray(data["train"], dtype=np.float64)
+        k = int(data["k"])
+        threshold = float(data["threshold"])
+        fields = {
+            "kdist": data["kdist"],
+            "lrd": data["lrd"],
+            "train_scores": data["train_scores"],
+            "mean": data["scaler"]["mean"],
+            "scale": data["scaler"]["scale"],
+        }
     except KeyError as exc:
         raise ValueError(f"model record missing key {exc}") from exc
+    if train.ndim != 2:
+        raise ValueError(f"model record field 'train' must be 2-d, got shape {train.shape}")
+    n, d = train.shape
+    if k < 1 or n < k + 2:
+        raise ValueError(f"model record field 'k' is {k}, needs 1 <= k <= n - 2 for n = {n}")
+    arrays = {name: np.asarray(value, dtype=np.float64) for name, value in fields.items()}
+    shapes = {"kdist": (n,), "lrd": (n,), "train_scores": (n,), "mean": (d,), "scale": (d,)}
+    for name, want in shapes.items():
+        if arrays[name].shape != want:
+            raise ValueError(
+                f"model record field {name!r} must have shape {want}, got {arrays[name].shape}"
+            )
+    return LofModel(train=train, k=k, threshold=threshold, **arrays)

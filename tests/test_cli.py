@@ -120,6 +120,18 @@ def test_train_and_run_roundtrip(scenario_path, work):
     assert rows[-1][4] == "true"
 
 
+def test_run_rejects_corrupted_bundle(work, tmp_path, capsys):
+    record = json.loads((work / "model.json").read_text())
+    model = next(iter(record["models"].values()))
+    model["kdist"] = model["kdist"][:-1]
+    bad = tmp_path / "short_kdist.json"
+    bad.write_text(json.dumps(record))
+    assert main([
+        "run", "--model", str(bad), "--trace", str(work / "train.bin"),
+        "--t-suspicion", "20", "--out", str(tmp_path / "run.csv"),
+    ]) == 1
+    assert "field 'kdist'" in capsys.readouterr().err
+
 def test_eval_command(scenario_path, work):
     out = work / "report.json"
     status = main([

@@ -145,6 +145,11 @@ def test_counter_invariants():
         SuspicionCounter(t_suspicion=0)
     with pytest.raises(ValueError):
         SuspicionCounter(t_suspicion=3, value=4)
+    # alarmed exactly at the threshold, as counter_step leaves it
+    with pytest.raises(ValueError, match="alarmed=False"):
+        SuspicionCounter(t_suspicion=4, value=4)
+    with pytest.raises(ValueError, match="alarmed=True"):
+        SuspicionCounter(t_suspicion=4, value=2, alarmed=True)
 
 
 def test_run_labels():

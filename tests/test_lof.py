@@ -154,6 +154,28 @@ def test_serialization_roundtrip(tmp_path):
     assert {"k", "threshold", "scaler", "train"} <= set(record)
 
 
+_CORRUPTIONS = {
+    "train 1-d": ("train", lambda r: r.update(train=r["train"][0])),
+    "k zero": ("k", lambda r: r.update(k=0)),
+    "k above n - 2": ("k", lambda r: r.update(k=len(r["train"]) - 1)),
+    "kdist short": ("kdist", lambda r: r.update(kdist=r["kdist"][:-1])),
+    "lrd long": ("lrd", lambda r: r.update(lrd=r["lrd"] + [1.0] * 5)),
+    "train_scores 2-d": ("train_scores", lambda r: r.update(train_scores=[r["train_scores"]])),
+    "mean short": ("mean", lambda r: r["scaler"].update(mean=r["scaler"]["mean"][:-1])),
+    "scale long": ("scale", lambda r: r["scaler"].update(scale=r["scaler"]["scale"] + [1.0])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CORRUPTIONS))
+def test_load_rejects_inconsistent_record(case):
+    field_name, change = _CORRUPTIONS[case]
+    model = lof.fit(np.random.default_rng(18).normal(size=(60, 4)), k=20)
+    record = json.loads(json.dumps(lof.model_to_dict(model)))
+    change(record)
+    with pytest.raises(ValueError, match=f"field '{field_name}'"):
+        lof.model_from_dict(record)
+
+
 # ---------------------------------------------------------------------------
 # Neighbour paths: the k-d tree (low dimension) and the dense blocks must
 # agree to the bit, ties and duplicates included.
@@ -264,3 +286,21 @@ def test_dense_fit_memory_is_bounded():
 def test_tree_fit_memory_is_bounded():
     x = np.random.default_rng(35).normal(size=(47_000, 4))
     assert _fit_peak_mb(x) < 160.0
+
+
+def test_duplicate_cluster_fit_memory_is_bounded():
+    x = np.random.default_rng(37).normal(size=(20_000, 4))
+    x[:1000] = x[0]  # each copy's neighbourhood holds the other 999
+    assert _fit_peak_mb(x) < 250.0
+
+
+def test_fitted_model_holds_only_its_arrays():
+    x = np.random.default_rng(38).normal(size=(47_000, 4))
+    tracemalloc.start()
+    try:
+        model = lof.fit(x, k=20)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    arrays = (model.train, model.kdist, model.lrd, model.mean, model.scale, model.train_scores)
+    assert held <= 1.5 * sum(a.nbytes for a in arrays)
