@@ -188,15 +188,25 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _probability(flag: str, value) -> float:
+    try:
+        p = float(value)
+    except ValueError:
+        raise ConfigError(f"{flag} value {value!r} is not a number") from None
+    if not 0.0 <= p <= 1.0:
+        raise ConfigError(f"{flag} must be in [0, 1], got {value}")
+    return p
+
+
 def _cmd_markov(args) -> int:
-    if not 0.0 <= args.p <= 1.0:
-        raise ConfigError(f"--p must be in [0, 1], got {args.p}")
+    _probability("--p", args.p)
     if args.t < 1:
         raise ConfigError(f"--t must be >= 1, got {args.t}")
+    # every value is checked before the sweep writes anything
+    p_values = [args.p] if args.p_list is None else [
+        _probability("--p-list", v) for v in args.p_list.split(",")
+    ]
     if args.out:
-        p_values = [args.p] if args.p_list is None else [
-            float(v) for v in args.p_list.split(",")
-        ]
         base = Path(args.out).with_suffix("")
         fa_path = Path(f"{base}_flight_far.csv")
         with open(fa_path, "w", newline="") as fh:

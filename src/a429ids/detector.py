@@ -17,7 +17,7 @@ protocols use it; `SuspicionCounter` and `counter_step` stream word by word.
 
 from __future__ import annotations
 
-import json
+import zipfile
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,6 +25,9 @@ import numpy as np
 from . import features, lof
 from .features import DEFAULT_SAMPLE_INTERVAL, FeatureSet
 from .segmentation import SegmentType
+
+# Names of a bundle's model members: <segment type>/<record field>.
+_MODEL_MEMBERS = {f"{t.value}/{name}" for t in SegmentType for name in lof.RECORD_FIELDS}
 
 
 @dataclass
@@ -192,37 +195,64 @@ def run_stream(detector: WordDetector, counter: SuspicionCounter, word_stream) -
 
 
 def detector_to_dict(detector: WordDetector) -> dict:
-    return {
+    """Flat record: the header fields, then each model's under ``<TYPE>/<field>``."""
+    record = {
         "feature_set": detector.set_id.value,
         "t_votes": detector.t_votes,
         "sample_interval": detector.sample_interval,
-        "models": {
-            seg_type.value: lof.model_to_dict(model)
-            for seg_type, model in detector.models.items()
-        },
     }
+    for seg_type, model in detector.models.items():
+        for name, value in lof.model_to_dict(model).items():
+            record[f"{seg_type.value}/{name}"] = value
+    return record
 
 
 def detector_from_dict(data: dict) -> WordDetector:
+    """Rebuild a detector from ``detector_to_dict``'s record, checking it."""
+    data = dict(data)
     try:
-        return WordDetector(
-            set_id=FeatureSet(data["feature_set"]),
-            t_votes=int(data["t_votes"]),
-            sample_interval=float(data["sample_interval"]),
-            models={
-                SegmentType(name): lof.model_from_dict(record)
-                for name, record in data["models"].items()
-            },
-        )
+        set_id = FeatureSet(str(data.pop("feature_set")))
+        t_votes = int(data.pop("t_votes"))
+        sample_interval = float(data.pop("sample_interval"))
     except KeyError as exc:
         raise ValueError(f"detector record missing key {exc}") from exc
+    if not 0 <= t_votes <= 127:
+        raise ValueError(f"detector record field 't_votes' is {t_votes}, must be in [0, 127]")
+    if not (np.isfinite(sample_interval) and sample_interval > 0.0):
+        raise ValueError(
+            f"detector record field 'sample_interval' is {sample_interval}, "
+            "must be finite and positive"
+        )
+    records: dict[SegmentType, dict] = {}
+    for key, value in data.items():
+        if key not in _MODEL_MEMBERS:
+            raise ValueError(f"detector record has unknown member {key!r}")
+        name, field = key.split("/")
+        records.setdefault(SegmentType(name), {})[field] = value
+    models = {seg_type: lof.model_from_dict(record) for seg_type, record in records.items()}
+    for seg_type, model in models.items():
+        want = features.feature_length(set_id, seg_type)
+        if model.dim != want:
+            raise ValueError(
+                f"detector record field '{seg_type.value}/train' has dimension {model.dim}; "
+                f"{set_id.value} gives {seg_type.value} segments {want or 'no'} features"
+            )
+    return WordDetector(set_id, t_votes, models, sample_interval)
 
 
 def save_detector(detector: WordDetector, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(detector_to_dict(detector), fh, sort_keys=True)
+    """Write exactly ``path``: an .npz whose members have fixed names, order and dates."""
+    with zipfile.ZipFile(path, "w") as archive:
+        for key, value in sorted(detector_to_dict(detector).items()):
+            with archive.open(zipfile.ZipInfo(f"{key}.npy"), "w", force_zip64=True) as member:
+                np.lib.format.write_array(member, np.asarray(value), allow_pickle=False)
 
 
 def load_detector(path) -> WordDetector:
-    with open(path) as fh:
-        return detector_from_dict(json.load(fh))
+    """Read a ``save_detector`` bundle with ``np.load(..., allow_pickle=False)``."""
+    with open(path, "rb") as fh:
+        if not zipfile.is_zipfile(fh):
+            raise ValueError(f"{path} is not a detector bundle (an .npz zip archive)")
+        fh.seek(0)
+        with np.load(fh, allow_pickle=False) as bundle:
+            return detector_from_dict({key: bundle[key] for key in bundle.files})

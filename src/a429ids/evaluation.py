@@ -24,6 +24,7 @@ import numpy as np
 from . import bus, detector as det, lof, segmentation, words as words_mod
 from .bus import ReceiverLoad, TransmitterProfile
 from .features import FeatureSet
+from .markov import DEFAULT_WORDS_PER_SECOND
 
 ATTACK_KINDS = ("tx_switch", "rx_switch", "rx_addition")
 DEFAULT_WORDS_PER_DEVICE = 4920
@@ -33,7 +34,6 @@ DEFAULT_T_VOTES = 100
 DEFAULT_REPS = 1000
 DEFAULT_TEST_WORDS = 1968
 DEFAULT_T_SUSPICION_GRID = tuple(range(1, 51))
-DEFAULT_WORDS_PER_SECOND = 610.0
 WORD_OCCUPANCY_BITS = 36.0  # 32 data bits + minimum 4-bit gap
 
 # Sub-seed purposes, mixed with the scenario seed (see _device_seed/_rng).

@@ -71,6 +71,9 @@ _TREE_EXTRA = 8
 # Relative slack between the tree's distances and the recomputed ones.
 _TIE_SLACK = 1.0e-9
 
+# A model's record: k and threshold, then the arrays, named as on LofModel.
+RECORD_FIELDS = ("k", "threshold", "train", "kdist", "lrd", "train_scores", "mean", "scale")
+
 
 @dataclass
 class LofModel:
@@ -255,42 +258,28 @@ def classify(model: LofModel, queries) -> np.ndarray:
 
 
 def model_to_dict(model: LofModel) -> dict:
-    return {
-        "k": model.k,
-        "threshold": model.threshold,
-        "scaler": {"mean": model.mean.tolist(), "scale": model.scale.tolist()},
-        "train": model.train.tolist(),
-        "kdist": model.kdist.tolist(),
-        "lrd": model.lrd.tolist(),
-        "train_scores": model.train_scores.tolist(),
-    }
+    """The model's record: its ``RECORD_FIELDS``, the arrays kept as arrays."""
+    return {name: getattr(model, name) for name in RECORD_FIELDS}
 
 
 def model_from_dict(data: dict) -> LofModel:
     """Rebuild a model from ``model_to_dict``'s record, checking every shape."""
     try:
-        train = np.asarray(data["train"], dtype=np.float64)
         k = int(data["k"])
         threshold = float(data["threshold"])
-        fields = {
-            "kdist": data["kdist"],
-            "lrd": data["lrd"],
-            "train_scores": data["train_scores"],
-            "mean": data["scaler"]["mean"],
-            "scale": data["scaler"]["scale"],
-        }
+        arrays = {name: np.asarray(data[name], dtype=np.float64) for name in RECORD_FIELDS[2:]}
     except KeyError as exc:
         raise ValueError(f"model record missing key {exc}") from exc
+    train = arrays["train"]
     if train.ndim != 2:
         raise ValueError(f"model record field 'train' must be 2-d, got shape {train.shape}")
     n, d = train.shape
     if k < 1 or n < k + 2:
         raise ValueError(f"model record field 'k' is {k}, needs 1 <= k <= n - 2 for n = {n}")
-    arrays = {name: np.asarray(value, dtype=np.float64) for name, value in fields.items()}
     shapes = {"kdist": (n,), "lrd": (n,), "train_scores": (n,), "mean": (d,), "scale": (d,)}
     for name, want in shapes.items():
         if arrays[name].shape != want:
             raise ValueError(
                 f"model record field {name!r} must have shape {want}, got {arrays[name].shape}"
             )
-    return LofModel(train=train, k=k, threshold=threshold, **arrays)
+    return LofModel(k=k, threshold=threshold, **arrays)

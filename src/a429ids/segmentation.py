@@ -42,8 +42,6 @@ TRANSITION_TYPES = frozenset(
     }
 )
 
-SEGMENTS_PER_WORD = 4 * WORD_BITS - 1
-
 
 @dataclass(frozen=True)
 class Thresholds:

@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from a429ids import bus, evaluation as ev, features, segmentation
@@ -87,12 +88,13 @@ def test_features_command_matches_extract(scenario_path, work, set_id):
 
 
 def test_train_and_run_roundtrip(scenario_path, work):
-    model = work / "model.json"
+    model = work / "model.npz"
     assert main([
         "train", "--trace", str(work / "train.bin"),
         "--feature-set", "generic", "--t-votes", "100", "--out", str(model),
     ]) == 0
-    assert json.loads(model.read_text())["feature_set"] == "generic"
+    with np.load(model, allow_pickle=False) as bundle:
+        assert bundle["feature_set"] == "generic"
 
     # the detector run on its own training trace must stay silent
     run_out = work / "run_normal.csv"
@@ -120,17 +122,42 @@ def test_train_and_run_roundtrip(scenario_path, work):
     assert rows[-1][4] == "true"
 
 
+def _bundle_record(path):
+    with np.load(path, allow_pickle=False) as bundle:
+        return dict(bundle)
+
+
 def test_run_rejects_corrupted_bundle(work, tmp_path, capsys):
-    record = json.loads((work / "model.json").read_text())
-    model = next(iter(record["models"].values()))
-    model["kdist"] = model["kdist"][:-1]
-    bad = tmp_path / "short_kdist.json"
-    bad.write_text(json.dumps(record))
+    record = _bundle_record(work / "model.npz")
+    kdist = next(key for key in record if key.endswith("/kdist"))
+    record[kdist] = record[kdist][:-1]
+    bad = tmp_path / "short_kdist.npz"
+    np.savez(bad, **record)
     assert main([
         "run", "--model", str(bad), "--trace", str(work / "train.bin"),
         "--t-suspicion", "20", "--out", str(tmp_path / "run.csv"),
     ]) == 1
     assert "field 'kdist'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["json", "object array"])
+def test_run_rejects_foreign_bundle(work, tmp_path, capsys, kind):
+    bad = tmp_path / "bundle.npz"
+    if kind == "json":
+        # the JSON text bundles that earlier versions wrote
+        bad.write_text(json.dumps({"feature_set": "generic", "t_votes": 100, "models": {}}))
+        message = "is not a detector bundle"
+    else:
+        record = _bundle_record(work / "model.npz")
+        record["feature_set"] = np.array(["generic"], dtype=object)
+        np.savez(bad, **record)
+        message = "allow_pickle=False"
+    assert main([
+        "run", "--model", str(bad), "--trace", str(work / "train.bin"),
+        "--t-suspicion", "20", "--out", str(tmp_path / "run.csv"),
+    ]) == 1
+    assert message in capsys.readouterr().err
+
 
 def test_eval_command(scenario_path, work):
     out = work / "report.json"
@@ -166,6 +193,20 @@ def test_markov_sweep(work):
     assert len(far_rows) - 1 == 2 * 12
     time_rows = _read_csv(work / "markov_detect_time.csv")
     assert time_rows[0] == ["t_suspicion", "p", "seconds_to_target"]
+
+
+@pytest.mark.parametrize("p_list, bad", [
+    ("0.1,1.5", "1.5"), ("0.1,abc", "'abc'"), ("nan", "nan"), ("0.4,-0.2", "-0.2"), ("0.1,", "''"),
+])
+def test_markov_rejects_bad_p_list_before_writing(tmp_path, capsys, p_list, bad):
+    status = main([
+        "markov", "--p", "0.4", "--t", "3", "--out", str(tmp_path / "sweep.csv"),
+        "--p-list", p_list,
+    ])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert "--p-list" in err and bad in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_exit_codes(scenario_path, work, tmp_path):

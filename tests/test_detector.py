@@ -69,13 +69,13 @@ def test_handcrafted_alternating_word_vote_universe(noisy_word_bank):
     assert 0 <= votes <= 96  # 31 nulls are skipped, not voted
 
 
-def test_training_is_deterministic(noisy_word_bank):
+def test_training_is_deterministic(noisy_word_bank, tmp_path):
     _, bank = noisy_word_bank
     a = det.train_detector(bank, FeatureSet.GENERIC, t_votes=100)
     b = det.train_detector(bank, FeatureSet.GENERIC, t_votes=100)
-    assert json.dumps(det.detector_to_dict(a), sort_keys=True) == json.dumps(
-        det.detector_to_dict(b), sort_keys=True
-    )
+    det.save_detector(a, tmp_path / "a.npz")
+    det.save_detector(b, tmp_path / "b.npz")
+    assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
 
 
 def test_missing_model_is_an_error():
@@ -275,3 +275,51 @@ def test_bundle_is_independent_of_the_search_tree(tmp_path, noisy_word_bank, mon
             if seg.seg_type == seg_type
         ])
         assert np.array_equal(lof.score(loaded, vecs), lof.score(model, vecs))
+
+
+def _npz(**changes):
+    """Bundle writer: the record with ``changes`` applied, saved by np.savez."""
+    return lambda path, record: np.savez(path, **{**record, **changes})
+
+
+def _excluded_model(path, record):
+    # a handcrafted bundle holding only a NULL_LH model, a type that set skips
+    kept = {key: value for key, value in record.items() if key.startswith("NULL_LH/")}
+    np.savez(path, feature_set="handcrafted", t_votes=100, sample_interval=1e-7, **kept)
+
+
+def _json_bundle(path, record):
+    # the JSON text bundles that earlier versions wrote
+    path.write_text(json.dumps({"feature_set": "generic", "t_votes": 100, "models": {}}))
+
+
+_BAD_BUNDLES = {
+    "t_votes above 127": ("field 't_votes' is 500", _npz(t_votes=500)),
+    "t_votes negative": ("field 't_votes' is -1", _npz(t_votes=-1)),
+    "sample_interval negative": ("field 'sample_interval' is -1.0", _npz(sample_interval=-1.0)),
+    "sample_interval nan": ("field 'sample_interval' is nan", _npz(sample_interval=np.nan)),
+    "sample_interval inf": ("field 'sample_interval' is inf", _npz(sample_interval=np.inf)),
+    "generic relabelled raw": (
+        r"field '\w+/train' has dimension 8; raw gives", _npz(feature_set="raw")
+    ),
+    "excluded type": (
+        "field 'NULL_LH/train' has dimension 8; handcrafted gives NULL_LH segments no features",
+        _excluded_model,
+    ),
+    "unknown type": ("unknown member 'BOGUS/k'", _npz(**{"BOGUS/k": 20})),
+    "unknown field": ("unknown member 'HI/extra'", _npz(**{"HI/extra": 1.0})),
+    "unknown header": ("unknown member 'comment'", _npz(comment="edited by hand")),
+    "json text": ("is not a detector bundle", _json_bundle),
+    "object array": (
+        "allow_pickle=False", _npz(feature_set=np.array(["generic"], dtype=object))
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_BUNDLES))
+def test_load_rejects_bad_bundle(tmp_path, trained, case):
+    message, write = _BAD_BUNDLES[case]
+    path = tmp_path / "bad.npz"
+    write(path, det.detector_to_dict(trained))
+    with pytest.raises(ValueError, match=message):
+        det.load_detector(path)

@@ -1,4 +1,4 @@
-import json
+import io
 import tracemalloc
 
 import numpy as np
@@ -139,19 +139,36 @@ def test_validation_errors():
         lof.score(model, rng.normal(size=(3, 5)))
 
 
+def _through_npz(record):
+    """The record written to an in-memory .npz archive and read back."""
+    buffer = io.BytesIO()
+    np.savez(buffer, **record)
+    buffer.seek(0)
+    with np.load(buffer, allow_pickle=False) as archive:
+        return dict(archive)
+
+
 def test_serialization_roundtrip(tmp_path):
     rng = np.random.default_rng(17)
     x = rng.normal(size=(60, 4))
     model = lof.fit(x, k=20)
-    path = tmp_path / "model.json"
-    path.write_text(json.dumps(lof.model_to_dict(model)))
-    back = lof.model_from_dict(json.loads(path.read_text()))
+    path = tmp_path / "model.npz"
+    np.savez(path, **lof.model_to_dict(model))
+    with np.load(path, allow_pickle=False) as archive:
+        record = dict(archive)
+    back = lof.model_from_dict(record)
     q = rng.normal(size=(9, 4))
     assert np.array_equal(lof.score(model, q), lof.score(back, q))
     assert back.threshold == model.threshold
-    # the record is valid JSON with the expected top-level schema
-    record = json.loads(path.read_text())
-    assert {"k", "threshold", "scaler", "train"} <= set(record)
+    # the record holds k, the threshold and the arrays, each to the bit
+    assert set(record) == {
+        "k", "threshold", "train", "kdist", "lrd", "train_scores", "mean", "scale"
+    }
+    assert back.k == model.k
+    assert np.float64(back.threshold).tobytes() == np.float64(model.threshold).tobytes()
+    for name in lof.RECORD_FIELDS[2:]:
+        want, got = getattr(model, name), getattr(back, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 _CORRUPTIONS = {
@@ -159,10 +176,10 @@ _CORRUPTIONS = {
     "k zero": ("k", lambda r: r.update(k=0)),
     "k above n - 2": ("k", lambda r: r.update(k=len(r["train"]) - 1)),
     "kdist short": ("kdist", lambda r: r.update(kdist=r["kdist"][:-1])),
-    "lrd long": ("lrd", lambda r: r.update(lrd=r["lrd"] + [1.0] * 5)),
-    "train_scores 2-d": ("train_scores", lambda r: r.update(train_scores=[r["train_scores"]])),
-    "mean short": ("mean", lambda r: r["scaler"].update(mean=r["scaler"]["mean"][:-1])),
-    "scale long": ("scale", lambda r: r["scaler"].update(scale=r["scaler"]["scale"] + [1.0])),
+    "lrd long": ("lrd", lambda r: r.update(lrd=np.concatenate([r["lrd"], np.ones(5)]))),
+    "train_scores 2-d": ("train_scores", lambda r: r.update(train_scores=r["train_scores"][None])),
+    "mean short": ("mean", lambda r: r.update(mean=r["mean"][:-1])),
+    "scale long": ("scale", lambda r: r.update(scale=np.append(r["scale"], 1.0))),
 }
 
 
@@ -170,7 +187,7 @@ _CORRUPTIONS = {
 def test_load_rejects_inconsistent_record(case):
     field_name, change = _CORRUPTIONS[case]
     model = lof.fit(np.random.default_rng(18).normal(size=(60, 4)), k=20)
-    record = json.loads(json.dumps(lof.model_to_dict(model)))
+    record = _through_npz(lof.model_to_dict(model))
     change(record)
     with pytest.raises(ValueError, match=f"field '{field_name}'"):
         lof.model_from_dict(record)
@@ -257,7 +274,7 @@ def test_loaded_model_rebuilds_tree_and_scores_identically():
     rng = np.random.default_rng(33)
     for dim in (4, 20):
         model = lof.fit(rng.normal(size=(300, dim)), k=20)
-        back = lof.model_from_dict(json.loads(json.dumps(lof.model_to_dict(model))))
+        back = lof.model_from_dict(_through_npz(lof.model_to_dict(model)))
         assert (back.tree is None) == (dim > lof._TREE_MAX_DIM)
         q = rng.normal(size=(25, dim))
         assert np.array_equal(lof.score(model, q), lof.score(back, q))
