@@ -63,6 +63,7 @@ from .evaluation import (
 from .segmentation import (
     MalformedSignal,
     Segment,
+    SegmentTable,
     SegmentType,
     Thresholds,
     segment_stream,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -73,53 +74,54 @@ def _cmd_synth(args) -> int:
 
 def _cmd_segment(args) -> int:
     trace = bus.read_trace(args.trace)
-    per_word = segmentation.segment_stream(trace)
+    table = segmentation.segment_stream(trace)
+    offsets = table.starts - table.word_starts[:, None]
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["word_index", "segment_index", "segment_type", "start_index", "length"])
-        for wi, segments in enumerate(per_word):
-            for si, seg in enumerate(segments):
-                writer.writerow([wi, si, seg.seg_type.value, seg.start_index, len(seg.samples)])
-    print(f"segmented {len(per_word)} words -> {args.out}")
+        words = zip(table.types.tolist(), offsets.tolist(), table.lengths.tolist())
+        for wi, (codes, starts, lengths) in enumerate(words):
+            for si, (code, start, length) in enumerate(zip(codes, starts, lengths)):
+                writer.writerow([wi, si, segmentation.SEGMENT_TYPES[code].value, start, length])
+    print(f"segmented {len(table)} words -> {args.out}")
     return 0
 
 
 def _cmd_features(args) -> int:
     set_id = _feature_set(args.feature_set)
     trace = bus.read_trace(args.trace)
-    per_word = segmentation.segment_stream(trace)
-    where = [(wi, si) for wi, word in enumerate(per_word) for si in range(len(word))]
-    segments = [seg for word in per_word for seg in word]
+    table = segmentation.segment_stream(trace)
+    types = table.types.ravel().tolist()
     vectors = {}
     for positions, matrix in features.extract_batch(
-        set_id, segments, dt=1.0 / trace.sample_rate
+        set_id, table, dt=1.0 / trace.sample_rate
     ).values():
         vectors.update(zip(positions.tolist(), matrix.tolist()))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["word_index", "segment_index", "segment_type", "set", "features..."])
         for pos in sorted(vectors):
-            wi, si = where[pos]
+            wi, si = divmod(pos, segmentation.SEGMENTS_PER_WORD)
             writer.writerow(
-                [wi, si, segments[pos].seg_type.value, set_id.value]
+                [wi, si, segmentation.SEGMENT_TYPES[types[pos]].value, set_id.value]
                 + [repr(v) for v in vectors[pos]]
             )
-    print(f"extracted {set_id.value} features for {len(per_word)} words -> {args.out}")
+    print(f"extracted {set_id.value} features for {len(table)} words -> {args.out}")
     return 0
 
 
 def _cmd_train(args) -> int:
     set_id = _feature_set(args.feature_set)
     trace = bus.read_trace(args.trace)
-    per_word = segmentation.segment_stream(trace)
+    table = segmentation.segment_stream(trace)
     trained = det.train_detector(
-        per_word, set_id, args.t_votes,
+        table, set_id, args.t_votes,
         k=args.k, contamination=args.contamination,
         sample_interval=1.0 / trace.sample_rate,
     )
     det.save_detector(trained, args.out)
     print(
-        f"trained {set_id.value} detector on {len(per_word)} words "
+        f"trained {set_id.value} detector on {len(table)} words "
         f"({len(trained.models)} segment models) -> {args.out}"
     )
     return 0
@@ -128,8 +130,8 @@ def _cmd_train(args) -> int:
 def _cmd_run(args) -> int:
     trained = det.load_detector(args.model)
     trace = bus.read_trace(args.trace)
-    per_word = segmentation.segment_stream(trace)
-    labels, votes = det.classify_words(trained, per_word)
+    table = segmentation.segment_stream(trace)
+    labels, votes = det.classify_words(trained, table)
     counter = det.SuspicionCounter(t_suspicion=args.t_suspicion)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -141,7 +143,7 @@ def _cmd_run(args) -> int:
                  counter.value, str(counter.alarmed).lower()]
             )
     state = "ALARM" if counter.alarmed else "no alarm"
-    print(f"processed {len(per_word)} words: {state} -> {args.out}")
+    print(f"processed {len(table)} words: {state} -> {args.out}")
     return 0
 
 
@@ -202,6 +204,14 @@ def _cmd_markov(args) -> int:
     _probability("--p", args.p)
     if args.t < 1:
         raise ConfigError(f"--t must be >= 1, got {args.t}")
+    if not (math.isfinite(args.rate) and args.rate > 0.0):
+        raise ConfigError(f"--rate must be finite and > 0, got {args.rate}")
+    if not (math.isfinite(args.flight_duration) and args.flight_duration >= 0.0):
+        raise ConfigError(
+            f"--flight-duration must be finite and >= 0, got {args.flight_duration}"
+        )
+    if not 0.0 < args.target < 1.0:
+        raise ConfigError(f"--target must be in (0, 1), got {args.target}")
     # every value is checked before the sweep writes anything
     p_values = [args.p] if args.p_list is None else [
         _probability("--p-list", v) for v in args.p_list.split(",")

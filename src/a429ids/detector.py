@@ -24,7 +24,7 @@ import numpy as np
 
 from . import features, lof
 from .features import DEFAULT_SAMPLE_INTERVAL, FeatureSet
-from .segmentation import SegmentType
+from .segmentation import SEGMENTS_PER_WORD, SegmentTable, SegmentType
 
 # Names of a bundle's model members: <segment type>/<record field>.
 _MODEL_MEMBERS = {f"{t.value}/{name}" for t in SegmentType for name in lof.RECORD_FIELDS}
@@ -38,6 +38,16 @@ class WordDetector:
     sample_interval: float = DEFAULT_SAMPLE_INTERVAL
 
 
+def _flatten(words):
+    """(segments, owners, n_words): a batch of words as one flat batch of
+    segments for ``features.extract_batch``, with the word of each segment."""
+    if isinstance(words, SegmentTable):
+        return words, np.repeat(np.arange(len(words)), SEGMENTS_PER_WORD), len(words)
+    words = list(words)
+    owners = np.repeat(np.arange(len(words)), [len(word) for word in words])
+    return [seg for word in words for seg in word], owners, len(words)
+
+
 def train_detector(
     training_words,
     set_id: FeatureSet,
@@ -48,17 +58,16 @@ def train_detector(
 ) -> WordDetector:
     """Fit one per-type model from segmented normal words.
 
-    ``training_words`` is a list of per-word segment lists. Types that never
-    occur in the training words get no model (they cannot occur at test time
-    either when the guarded bus replays the same word vocabulary); a type
-    that occurs too rarely to fit is an error.
+    ``training_words`` is a ``SegmentTable`` or a list of per-word segment
+    lists. Types that never occur in the training words get no model (they
+    cannot occur at test time either when the guarded bus replays the same
+    word vocabulary); a type that occurs too rarely to fit is an error.
     """
     t_votes = int(t_votes)
     if not 0 <= t_votes <= 127:
         raise ValueError(f"t_votes must be in [0, 127], got {t_votes}")
-    pools = features.extract_batch(
-        set_id, [seg for word in training_words for seg in word], dt=sample_interval
-    )
+    segments, _, _ = _flatten(training_words)
+    pools = features.extract_batch(set_id, segments, dt=sample_interval)
     if not pools:
         raise ValueError("no training segments")
     models = {}
@@ -77,18 +86,14 @@ def train_detector(
 def classify_words(detector: WordDetector, words) -> tuple[np.ndarray, np.ndarray]:
     """Labels and normal-vote counts for a batch of segmented words.
 
+    ``words`` is a ``SegmentTable`` or a list of per-word segment lists.
     Returns (is_anomaly bool array, normal_votes int array). Segments are
     grouped by type so each model scores one matrix; per-word results are
     scattered back afterwards.
     """
-    words = list(words)
-    votes = np.zeros(len(words), dtype=np.int64)
-    owners = np.repeat(np.arange(len(words)), [len(word) for word in words])
-    grouped = features.extract_batch(
-        detector.set_id,
-        [seg for word in words for seg in word],
-        dt=detector.sample_interval,
-    )
+    segments, owners, n_words = _flatten(words)
+    votes = np.zeros(n_words, dtype=np.int64)
+    grouped = features.extract_batch(detector.set_id, segments, dt=detector.sample_interval)
     for seg_type, (positions, vecs) in grouped.items():
         model = detector.models.get(seg_type)
         if model is None:
@@ -190,7 +195,7 @@ def run_labels(counter: SuspicionCounter, labels) -> int | None:
 
 def run_stream(detector: WordDetector, counter: SuspicionCounter, word_stream) -> int | None:
     """Classify a stream of segmented words and run the counter over it."""
-    labels, _ = classify_words(detector, list(word_stream))
+    labels, _ = classify_words(detector, word_stream)
     return run_labels(counter, labels)
 
 
@@ -229,7 +234,12 @@ def detector_from_dict(data: dict) -> WordDetector:
             raise ValueError(f"detector record has unknown member {key!r}")
         name, field = key.split("/")
         records.setdefault(SegmentType(name), {})[field] = value
-    models = {seg_type: lof.model_from_dict(record) for seg_type, record in records.items()}
+    models = {}
+    for seg_type, record in records.items():
+        try:
+            models[seg_type] = lof.model_from_dict(record)
+        except ValueError as exc:
+            raise ValueError(f"model {seg_type.value}: {exc}") from exc
     for seg_type, model in models.items():
         want = features.feature_length(set_id, seg_type)
         if model.dim != want:

@@ -139,8 +139,7 @@ def _device_segments(scenario: Scenario, setup: BusSetup, purpose: int):
         seed=_device_seed(scenario.seed, purpose),
         sample_rate=scenario.sample_rate,
     )
-    segments = segmentation.segment_stream(trace)
-    return segments, trace
+    return segmentation.segment_stream(trace), trace
 
 
 def _prepare(
@@ -148,17 +147,17 @@ def _prepare(
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Normal votes of the held-out guarded words and votes of each rogue's
     words, from a detector trained on the first 60% of the guarded words."""
-    normal_segments, trace = _device_segments(scenario, scenario.guarded, _SEED_GUARDED)
-    n_train = round(TRAIN_FRACTION * len(normal_segments))
+    normal, trace = _device_segments(scenario, scenario.guarded, _SEED_GUARDED)
+    n_train = round(TRAIN_FRACTION * len(normal))
     trained = det.train_detector(
-        normal_segments[:n_train], set_id, t_votes,
+        normal[:n_train], set_id, t_votes,
         k=k, contamination=contamination, sample_interval=1.0 / trace.sample_rate,
     )
-    _, test_votes = det.classify_words(trained, normal_segments[n_train:])
+    _, test_votes = det.classify_words(trained, normal[n_train:])
     rogue_votes = []
     for ri, rogue in enumerate(scenario.rogues):
-        segments, _ = _device_segments(scenario, rogue, _SEED_ROGUE_BASE + ri)
-        rogue_votes.append(det.classify_words(trained, segments)[1])
+        table, _ = _device_segments(scenario, rogue, _SEED_ROGUE_BASE + ri)
+        rogue_votes.append(det.classify_words(trained, table)[1])
     return test_votes, rogue_votes
 
 

@@ -1,9 +1,13 @@
 """Per-segment feature extraction: raw samples, generic statistics,
 polynomial fits and hand-picked shape landmarks.
 
-``extract_batch`` is the one implementation of every feature set. It groups
-a list of segments by (segment type, length), stacks each group into a
-matrix with one row per segment and runs one kernel per group:
+``extract_batch`` is the one implementation of every feature set. It reads
+a batch as columns (type code, start, length over one sample array): a
+``SegmentTable``'s own, or those of a list of ``Segment`` objects over
+their concatenated samples. One stable ``np.lexsort`` on (type, length)
+groups the segments, each group's matrix, one row per segment, is gathered
+straight from the samples as ``samples[start[:, None] + np.arange(length)]``,
+and one kernel runs per group:
 
 - raw: a slice of the first columns;
 - generic: moments reduced along the rows;
@@ -23,13 +27,16 @@ depend on. ``extract`` and the ``extract_*`` functions are batches of one.
 
 from __future__ import annotations
 
+import itertools
 from enum import Enum
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .bus import DEFAULT_BIT_RATE, DEFAULT_SAMPLES_PER_BIT
-from .segmentation import Segment, SegmentType, TRANSITION_TYPES
+from .segmentation import (
+    SEGMENT_TYPES, TYPE_CODES, TRANSITION_TYPES, Segment, SegmentTable, SegmentType,
+)
 
 DEFAULT_SAMPLE_INTERVAL = 1.0 / (DEFAULT_BIT_RATE * DEFAULT_SAMPLES_PER_BIT)
 
@@ -249,13 +256,33 @@ def _group_rows(set_id: FeatureSet, seg_type: SegmentType, x: np.ndarray, dt: fl
     return _handcrafted_rows(seg_type, x, dt)
 
 
+def _columns(segments):
+    """``(samples, types, starts, lengths)`` of a batch of segments, flat.
+
+    A ``SegmentTable`` gives its own columns, read row-major; a sequence of
+    ``Segment`` objects gives columns over its concatenated samples.
+    """
+    if isinstance(segments, SegmentTable):
+        return (
+            segments.samples, segments.types.ravel(),
+            segments.starts.ravel(), segments.lengths.ravel(),
+        )
+    segments = list(segments)
+    lengths = np.array([len(seg.samples) for seg in segments], dtype=np.int64)
+    types = np.array([TYPE_CODES[seg.seg_type] for seg in segments], dtype=np.int8)
+    samples = np.concatenate([seg.samples for seg in segments]) if segments else np.empty(0)
+    return samples, types, np.cumsum(lengths) - lengths, lengths
+
+
 def extract_batch(
     set_id: FeatureSet, segments, dt: float = DEFAULT_SAMPLE_INTERVAL
 ) -> dict[SegmentType, tuple[np.ndarray, np.ndarray]]:
-    """Feature vectors of a list of segments, by segment type.
+    """Feature vectors of a batch of segments, by segment type.
 
+    ``segments`` is a list of ``Segment`` objects or a ``SegmentTable``,
+    whose segments count word by word (position ``127 * word + segment``).
     Returns ``{type: (positions, matrix)}``: row i of ``matrix`` is the
-    vector of ``segments[positions[i]]``, and positions ascend, so each
+    vector of the segment at ``positions[i]``, and positions ascend, so each
     type's rows keep the input order. Types appear in the order of their
     first segment. Types the set excludes (the mixed-polarity nulls for
     hand-crafted features) are left out. A segment too short for its set
@@ -264,30 +291,48 @@ def extract_batch(
     """
     if not isinstance(set_id, FeatureSet):
         raise ValueError(f"unknown feature set {set_id!r}")
-    groups: dict[tuple[SegmentType, int], list[int]] = {}
-    for pos, seg in enumerate(segments):
-        groups.setdefault((seg.seg_type, len(seg.samples)), []).append(pos)
-    # groups are in the order of their first segment, so the first group
-    # that fails holds the first segment that fails
-    for seg_type, n in groups:
-        message = _too_short(set_id, seg_type, n)
-        if message is not None:
-            raise SegmentTooShort(message)
+    samples, types, starts, lengths = _columns(segments)
+    if len(types) == 0:
+        return {}
+    # one stable sort by (type, length): each group's positions ascend
+    order = np.lexsort((lengths, types))
+    sorted_types, sorted_lengths = types[order], lengths[order]
+    cuts = np.flatnonzero(
+        (sorted_types[1:] != sorted_types[:-1]) | (sorted_lengths[1:] != sorted_lengths[:-1])
+    ) + 1
+    bounds = [0, *cuts.tolist(), len(order)]
+    groups = [
+        (SEGMENT_TYPES[sorted_types[a]], int(sorted_lengths[a]), order[a:b])
+        for a, b in zip(bounds[:-1], bounds[1:])
+    ]
+    # a group's first position is its earliest, so the earliest failing
+    # group holds the first segment that fails
+    failing = [
+        (positions[0], message) for seg_type, n, positions in groups
+        if (message := _too_short(set_id, seg_type, n)) is not None
+    ]
+    if failing:
+        raise SegmentTooShort(min(failing)[1])
 
-    parts: dict[SegmentType, list[tuple[list[int], np.ndarray]]] = {}
-    for (seg_type, _), positions in groups.items():
+    out = {}
+    for seg_type, type_groups in itertools.groupby(groups, key=lambda group: group[0]):
         if set_id is FeatureSet.HANDCRAFTED and seg_type in HANDCRAFTED_EXCLUDED:
             continue
-        x = np.array([segments[p].samples for p in positions], dtype=np.float64)
-        rows = _group_rows(set_id, seg_type, x, dt)
-        parts.setdefault(seg_type, []).append((positions, rows))
-    out = {}
-    for seg_type, type_parts in parts.items():
-        positions = np.concatenate([np.asarray(p, dtype=np.int64) for p, _ in type_parts])
+        type_groups = list(type_groups)
+        rows = np.concatenate([
+            _group_rows(set_id, seg_type, _gather(samples, starts[positions], n), dt)
+            for _, n, positions in type_groups
+        ])
+        positions = np.concatenate([positions for _, _, positions in type_groups])
         order = np.argsort(positions, kind="stable")
-        matrix = np.concatenate([rows for _, rows in type_parts])[order]
-        out[seg_type] = (positions[order], matrix)
-    return out
+        out[seg_type] = (positions[order], rows[order])
+    # types in the order of their first segment
+    return dict(sorted(out.items(), key=lambda item: item[1][0][0]))
+
+
+def _gather(samples: np.ndarray, starts: np.ndarray, n: int) -> np.ndarray:
+    """``(len(starts), n)`` float64 matrix of the samples from each start."""
+    return samples[starts[:, None] + np.arange(n)].astype(np.float64, copy=False)
 
 
 def _extract_one(set_id: FeatureSet, segment: Segment, dt: float) -> np.ndarray | None:

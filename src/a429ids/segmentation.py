@@ -7,11 +7,20 @@ what makes the scheme hysteretic (the paired thresholds sit 0.8 V apart, so
 sample noise cannot re-trigger a boundary). A word is 32 pulses; the long
 null after the last pulse belongs to no word and is dropped, leaving
 32 * 4 - 1 = 127 segments.
+
+`segment_stream` finds the crossings once over the whole trace and runs
+the state machine on plain ints, word by word, over the crossings inside
+each word's window. It returns a `SegmentTable`: three ``(n_words, 127)``
+arrays (type code, absolute start, length; 17 bytes a segment) over the
+trace's own samples, which it does not copy. `segment_word` is the
+one-word case of the same loop, and the table builds a word's `Segment`
+objects, with copied samples, only when indexed.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -126,8 +135,124 @@ _STEP = {
     (_NULL_L, _F_NEG_L2): (SegmentType.NULL_LL, _DOWN_NULL),
 }
 
-# Closing a transition of these states completes one pulse.
-_PULSE_CLOSERS = {SegmentType.DOWN_FROM_HI, SegmentType.UP_FROM_LO}
+# Type codes of the table: a segment type's position in SegmentType.
+SEGMENT_TYPES = tuple(SegmentType)
+TYPE_CODES = {seg_type: code for code, seg_type in enumerate(SEGMENT_TYPES)}
+SEGMENTS_PER_WORD = 4 * WORD_BITS - 1
+
+# _STEP with each closed type as its code, which the parsing loop reads
+_STEP_CODES = {
+    key: (None if closed is None else TYPE_CODES[closed], state)
+    for key, (closed, state) in _STEP.items()
+}
+
+# Closing a transition of these types completes one pulse.
+_PULSE_CLOSERS = {TYPE_CODES[SegmentType.DOWN_FROM_HI], TYPE_CODES[SegmentType.UP_FROM_LO]}
+
+
+@dataclass(frozen=True, eq=False)
+class SegmentTable(Sequence):
+    """Segmented words as columns over the trace's samples (not a copy).
+
+    ``types``, ``starts`` and ``lengths`` are ``(n_words, 127)`` arrays: the
+    type code (an index into ``SEGMENT_TYPES``), the absolute start sample
+    and the sample count of every segment, in word order. The table is a
+    sequence of words: ``table[i]`` builds word i's ``list[Segment]`` with
+    copied samples and start indices relative to the word start, and a
+    slice is a table over the same samples. Read flat, row-major, the
+    columns are the segments of all words in order, which is how
+    ``features.extract_batch`` takes a table.
+    """
+
+    samples: np.ndarray
+    word_starts: np.ndarray  # (n_words,) absolute start sample of each word
+    types: np.ndarray
+    starts: np.ndarray
+    lengths: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.word_starts)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return SegmentTable(
+                self.samples, self.word_starts[key], self.types[key],
+                self.starts[key], self.lengths[key],
+            )
+        wi = range(len(self))[key]  # IndexError past either end
+        origin = int(self.word_starts[wi])
+        return [
+            Segment(SEGMENT_TYPES[code], self.samples[start : start + n].copy(), start - origin)
+            for code, start, n in zip(
+                self.types[wi].tolist(), self.starts[wi].tolist(), self.lengths[wi].tolist()
+            )
+        ]
+
+    def __eq__(self, other):
+        # word by word, as lists of segments: an empty table == []
+        if not isinstance(other, (list, tuple, SegmentTable)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None
+
+
+def _segment_words(samples, word_starts, window, idx, code, word_indices) -> SegmentTable:
+    """Run the state machine over each word's crossings.
+
+    ``idx`` and ``code`` are crossings with absolute sample indices, sorted
+    as ``_crossings`` sorts them. A word starting at ``s`` parses those with
+    ``s < idx < s + window``: the ones ``_crossings`` finds in the window
+    ``samples[s : s + window]`` alone. ``word_indices`` names each word in
+    a ``MalformedSignal``.
+    """
+    n_words = len(word_starts)
+    types = np.empty((n_words, SEGMENTS_PER_WORD), dtype=np.int8)
+    starts = np.empty((n_words, SEGMENTS_PER_WORD), dtype=np.int64)
+    ends = np.empty(n_words, dtype=np.int64)
+    lo = np.searchsorted(idx, word_starts, side="right").tolist()
+    hi = np.searchsorted(idx, word_starts + window, side="left").tolist()
+    for wi, (word_start, word_index) in enumerate(zip(word_starts.tolist(), word_indices)):
+        word_idx = idx[lo[wi] : hi[wi]].tolist()
+        word_types, seg_starts = [], []
+        state = _LEAD
+        open_at = None
+        pulses = 0
+        for i, c in zip(word_idx, code[lo[wi] : hi[wi]].tolist()):
+            action = _STEP_CODES.get((state, c))
+            if action is None:
+                continue  # hysteresis: not a boundary of the open segment
+            closed, state = action
+            if closed is not None:
+                if i <= open_at:
+                    raise MalformedSignal(
+                        f"degenerate {SEGMENT_TYPES[closed].value} segment", i, word_index
+                    )
+                word_types.append(closed)
+                seg_starts.append(open_at)
+                if closed in _PULSE_CLOSERS:
+                    pulses += 1
+                    if pulses == WORD_BITS:
+                        break
+            open_at = i
+        else:
+            last = word_idx[-1] if word_idx else min(word_start + window, len(samples)) - 1
+            raise MalformedSignal(
+                f"signal ended after {pulses} of {WORD_BITS} pulses", last, word_index
+            )
+        types[wi] = word_types
+        starts[wi] = seg_starts
+        ends[wi] = i
+    lengths = np.empty_like(starts)
+    np.subtract(starts[:, 1:], starts[:, :-1], out=lengths[:, :-1])
+    np.subtract(ends, starts[:, -1], out=lengths[:, -1])
+    return SegmentTable(samples, word_starts, types, starts, lengths)
+
+
+def _window(trace) -> int:
+    # One bit period beyond the word covers the closing transition; the
+    # minimum 4-bit gap guarantees the window never reaches the next word.
+    return math.ceil((WORD_BITS + 1) * trace.samples_per_bit)
 
 
 def segment_word(trace, word_start: int, thresholds: Thresholds | None = None,
@@ -143,47 +268,28 @@ def segment_word(trace, word_start: int, thresholds: Thresholds | None = None,
     word_start = int(word_start)
     if not 0 <= word_start < len(trace.samples):
         raise ValueError(f"word_start {word_start} out of range")
-
-    # One bit period beyond the word covers the closing transition; the
-    # minimum 4-bit gap guarantees the window never reaches the next word.
-    window = math.ceil((WORD_BITS + 1) * trace.samples_per_bit)
-    x = trace.samples[word_start : word_start + window]
-
-    idx, code = _crossings(x, th)
-    segments: list[Segment] = []
-    state = _LEAD
-    open_at = None
-    pulses = 0
-
-    for i, c in zip(idx.tolist(), code.tolist()):
-        action = _STEP.get((state, c))
-        if action is None:
-            continue  # hysteresis: not a boundary of the open segment
-        closed, state = action
-        if closed is not None:
-            if i <= open_at:
-                raise MalformedSignal(
-                    f"degenerate {closed.value} segment", word_start + i, word_index
-                )
-            segments.append(Segment(closed, x[open_at:i].copy(), open_at))
-            if closed in _PULSE_CLOSERS:
-                pulses += 1
-                if pulses == WORD_BITS:
-                    return segments
-        open_at = i
-
-    last = word_start + (int(idx[-1]) if len(idx) else len(x) - 1)
-    raise MalformedSignal(
-        f"signal ended after {pulses} of {WORD_BITS} pulses", last, word_index
+    window = _window(trace)
+    idx, code = _crossings(trace.samples[word_start : word_start + window], th)
+    table = _segment_words(
+        trace.samples, np.array([word_start]), window, idx + word_start, code, [word_index]
     )
+    return table[0]
 
 
-def segment_stream(trace, thresholds: Thresholds | None = None) -> list[list[Segment]]:
-    """Apply `segment_word` at every word marker of the trace."""
-    out = []
-    for wi, start in enumerate(trace.word_starts.tolist()):
-        out.append(segment_word(trace, start, thresholds, word_index=wi))
-    return out
+def segment_stream(trace, thresholds: Thresholds | None = None) -> SegmentTable:
+    """Segment every word of the trace into one ``SegmentTable``.
+
+    Crossings are found once over the whole trace; each word then parses
+    the ones inside its own window, so every word segments exactly as
+    ``segment_word`` segments it at its start.
+    """
+    th = thresholds if thresholds is not None else Thresholds()
+    th.validate()
+    idx, code = _crossings(trace.samples, th)
+    word_starts = trace.word_starts
+    return _segment_words(
+        trace.samples, word_starts, _window(trace), idx, code, range(len(word_starts))
+    )
 
 
 def census(segments) -> dict[SegmentType, int]:

@@ -25,11 +25,18 @@ def clean_segment_bank(clean_profile):
 
 
 @pytest.fixture(scope="session")
-def noisy_word_bank():
-    """(word values, per-word segments) for 5 cycles of the standard words
-    at the default noise level."""
+def noisy_trace():
+    """(word values, trace) for 5 cycles of the standard words at the
+    default noise level."""
     values = [DEFAULT_WORD_SET[i % 6] for i in range(30)]
     trace = bus.synthesize_stream(
         bus.TransmitterProfile(), [bus.ReceiverLoad()], values, seed=11
     )
+    return values, trace
+
+
+@pytest.fixture(scope="session")
+def noisy_word_bank(noisy_trace):
+    """(word values, per-word segments) of ``noisy_trace``: a SegmentTable."""
+    values, trace = noisy_trace
     return values, segmentation.segment_stream(trace)

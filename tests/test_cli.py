@@ -137,7 +137,9 @@ def test_run_rejects_corrupted_bundle(work, tmp_path, capsys):
         "run", "--model", str(bad), "--trace", str(work / "train.bin"),
         "--t-suspicion", "20", "--out", str(tmp_path / "run.csv"),
     ]) == 1
-    assert "field 'kdist'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "field 'kdist'" in err
+    assert f"model {kdist.split('/')[0]}: " in err  # names the segment type
 
 
 @pytest.mark.parametrize("kind", ["json", "object array"])
@@ -206,6 +208,18 @@ def test_markov_rejects_bad_p_list_before_writing(tmp_path, capsys, p_list, bad)
     assert status == 2
     err = capsys.readouterr().err
     assert "--p-list" in err and bad in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--rate", "0"), ("--flight-duration", "-5"), ("--target", "1.5"),
+])
+def test_markov_rejects_bad_flags_before_writing(tmp_path, capsys, flag, value):
+    status = main([
+        "markov", "--p", "0.4", "--t", "3", "--out", str(tmp_path / "sweep.csv"), flag, value,
+    ])
+    assert status == 2
+    assert flag in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -420,3 +420,21 @@ def test_batch_raises_for_first_short_segment(monkeypatch, set_id, first, second
     with pytest.raises(SegmentTooShort) as exc:
         extract_batch(set_id, segments)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("set_id", list(FeatureSet), ids=lambda s: s.value)
+def test_batch_of_a_table_matches_its_segment_lists(noisy_word_bank, set_id):
+    # a table is read word by word: the segment at (word, index) is at
+    # position 127 * word + index
+    _, table = noisy_word_bank
+    segments = [seg for word in table for seg in word]
+    got = extract_batch(set_id, table, dt=1.0 / 3.0)
+    want = extract_batch(set_id, segments, dt=1.0 / 3.0)
+    assert list(got) == list(want)
+    for seg_type, (positions, matrix) in want.items():
+        assert _same_bits(got[seg_type][0], positions)
+        assert _same_bits(got[seg_type][1], matrix)
+    part = table[4:9]
+    for seg_type, (positions, matrix) in extract_batch(set_id, part).items():
+        want_pos, want_matrix = extract_batch(set_id, segments[4 * 127 : 9 * 127])[seg_type]
+        assert _same_bits(positions, want_pos) and _same_bits(matrix, want_matrix)

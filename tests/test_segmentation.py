@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -134,3 +137,97 @@ def test_word_start_bounds():
 
 def test_segment_type_enum():
     assert len(SegmentType) == 10
+
+
+# ---------------------------------------------------------------------------
+# the segment table against the one-word parser
+
+
+def _same_words(got, want):
+    assert [s.seg_type for s in got] == [s.seg_type for s in want]
+    assert [s.start_index for s in got] == [s.start_index for s in want]
+    for a, b in zip(got, want):
+        assert a.samples.dtype == b.samples.dtype and a.samples.tobytes() == b.samples.tobytes()
+
+
+def test_table_words_equal_segment_word(noisy_trace):
+    _, trace = noisy_trace
+    table = segmentation.segment_stream(trace)
+    assert isinstance(table, segmentation.SegmentTable)
+    assert len(table) == len(trace.word_starts)
+    assert table.samples is trace.samples  # columns over the trace, not a copy
+    assert table.types.shape == table.starts.shape == table.lengths.shape == (len(table), 127)
+    for wi, start in enumerate(trace.word_starts.tolist()):
+        want = segmentation.segment_word(trace, start)
+        _same_words(table[wi], want)
+        assert table.starts[wi].tolist() == [start + s.start_index for s in want]
+        assert table.lengths[wi].tolist() == [len(s.samples) for s in want]
+    # slices are tables over the same samples; indices count from either end
+    part = table[3:7]
+    assert isinstance(part, segmentation.SegmentTable) and len(part) == 4
+    assert part.samples is trace.samples
+    _same_words(part[0], table[3])
+    _same_words(table[-1], table[len(table) - 1])
+    with pytest.raises(IndexError):
+        table[len(table)]
+
+
+def test_crossing_on_a_words_first_sample_is_ignored():
+    tx = TransmitterProfile(noise_sigma=0.0, timing_jitter=0.0)
+    trace = bus.synthesize_stream(tx, [], [0xFFFFFFFF] * 3, seed=4)
+    start = int(trace.word_starts[1])
+    # the sample before the word is a quiet null, so the trace crosses
+    # -v_l2 on the word's first sample; the word's own window starts there
+    # and cannot see it. Were it parsed, the word would open a falling null
+    # and never find the pulse that closes it.
+    assert abs(trace.samples[start - 1]) < 1.0
+    trace.samples[start] = -3.0
+    table = segmentation.segment_stream(trace)
+    _same_words(table[1], segmentation.segment_word(trace, start))
+    assert [s.seg_type.value for s in table[1]] == expected_segment_type_names(0xFFFFFFFF)
+
+
+def test_last_word_window_past_the_end():
+    tx = TransmitterProfile()
+    full = bus.synthesize_stream(tx, [ReceiverLoad()], list(DEFAULT_WORD_SET), seed=9)
+    last = int(full.word_starts[-1])
+    # cut the trace a bit after the last pulse, short of the word's window
+    end = last + int(32.5 * full.samples_per_bit)
+    cut = bus.Trace(full.sample_rate, full.bit_rate, full.samples[:end].copy(), full.word_starts)
+    assert last + math.ceil(33 * cut.samples_per_bit) > len(cut.samples)
+    table = segmentation.segment_stream(cut)
+    for wi, (value, start) in enumerate(zip(DEFAULT_WORD_SET, full.word_starts.tolist())):
+        assert [s.seg_type.value for s in table[wi]] == expected_segment_type_names(value)
+        _same_words(table[wi], segmentation.segment_word(cut, start))
+        _same_words(table[wi], segmentation.segment_word(full, start))
+
+
+def test_corrupted_middle_word_raises_as_segment_word():
+    trace = bus.synthesize_stream(TransmitterProfile(), [], [0x5A5A5A5A] * 3, seed=2)
+    start = int(trace.word_starts[1])
+    trace.samples[start + 400 : start + 1200] = 0.0
+    with pytest.raises(MalformedSignal) as want:
+        segmentation.segment_word(trace, start, word_index=1)
+    with pytest.raises(MalformedSignal) as got:
+        segmentation.segment_stream(trace)
+    assert str(got.value) == str(want.value)
+    assert got.value.message == want.value.message
+    assert got.value.sample_index == want.value.sample_index
+    assert got.value.word_index == want.value.word_index == 1
+
+
+def test_table_memory_per_segment():
+    # the table holds a few small integers per segment beside the trace it
+    # references; a list of Segment objects with copied samples held 303 B
+    values = [DEFAULT_WORD_SET[i % 6] for i in range(500)]
+    trace = bus.synthesize_stream(TransmitterProfile(), [ReceiverLoad()], values, seed=5)
+    # one small run first, so that first-call allocations are not counted
+    segmentation.segment_stream(bus.synthesize_stream(TransmitterProfile(), [], [0x0], seed=0))
+    tracemalloc.start()
+    try:
+        table = segmentation.segment_stream(trace)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 500
+    assert held / (500 * 127) < 32
