@@ -154,6 +154,9 @@ def _prepare(
         k=k, contamination=contamination, sample_interval=1.0 / trace.sample_rate,
     )
     _, test_votes = det.classify_words(trained, normal[n_train:])
+    # the guarded table and trace are not needed past here; free them before
+    # a rogue's peak
+    del normal, trace
     rogue_votes = []
     for ri, rogue in enumerate(scenario.rogues):
         table, _ = _device_segments(scenario, rogue, _SEED_ROGUE_BASE + ri)

@@ -17,12 +17,19 @@ and one kernel runs per group:
   2.4.6), with the same ``rcond`` and error state. Every segment is solved
   by the same LAPACK call as alone, so the coefficients equal
   ``np.linalg.lstsq``'s to the bit; one solve with many right-hand sides per
-  group would be faster but rounds differently;
+  group would be faster but rounds differently. ``parallel.map_rows`` cuts
+  the group into ``parallel.WORKERS`` contiguous row blocks, solved at once
+  by the calling thread and a shared pool (the gufunc releases the GIL),
+  and joins them in row order, so the split changes no bit. Each block
+  enters the error state itself: numpy keeps it per thread;
 - hand-crafted: transitions vectorized (mean slope, mean deviation from the
   chord), plateaus and like-bit nulls a loop over their landmarks.
 
 Within each type the rows come back in input order, which LOF's results
 depend on. ``extract`` and the ``extract_*`` functions are batches of one.
+The other kernels run on the calling thread: hand-crafted landmarks are a
+Python loop that holds the GIL, and raw and generic take a small share of
+an extraction.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from enum import Enum
 import numpy as np
 from numpy.linalg import _umath_linalg
 
+from . import parallel
 from .bus import DEFAULT_BIT_RATE, DEFAULT_SAMPLES_PER_BIT
 from .segmentation import (
     SEGMENT_TYPES, TYPE_CODES, TRANSITION_TYPES, Segment, SegmentTable, SegmentType,
@@ -161,6 +169,11 @@ def _polynomial_rows(x: np.ndarray, degree: int) -> np.ndarray:
     vand = np.vander(t, degree + 1, increasing=True)
     # what np.linalg.lstsq(vand, row, rcond=None) does for each row
     rcond = np.finfo(np.float64).eps * max(n, degree + 1)
+    return parallel.map_rows(_polynomial_block, x, vand, rcond)
+
+
+def _polynomial_block(x: np.ndarray, vand: np.ndarray, rcond: float) -> np.ndarray:
+    # numpy's error state is per thread, so each block enters its own
     with np.errstate(
         call=_raise_lstsq_error, invalid="call", over="ignore", divide="ignore", under="ignore"
     ):
