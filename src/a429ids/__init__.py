@@ -27,7 +27,6 @@ from .detector import (
     first_passage,
     load_detector,
     run_labels,
-    run_stream,
     save_detector,
     train_detector,
 )
@@ -56,9 +55,6 @@ from .evaluation import (
     build_report,
     compute_eer,
     fa_per_sec,
-    run_counter_far,
-    run_detection_time,
-    run_single_word_eval,
 )
 from .segmentation import (
     MalformedSignal,

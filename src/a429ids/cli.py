@@ -154,7 +154,7 @@ def _cmd_eval(args) -> int:
     report = evaluation.build_report(
         scenario, set_id,
         t_votes=args.t_votes, reps=args.reps, test_words=args.test_words,
-        t_suspicion_grid=grid, words_per_s=args.rate,
+        t_suspicion_grid=grid, words_per_s=_rate("--rate", args.rate),
         k=args.k, contamination=args.contamination,
     )
     out = Path(args.out)
@@ -200,12 +200,17 @@ def _probability(flag: str, value) -> float:
     return p
 
 
+def _rate(flag: str, value: float) -> float:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ConfigError(f"{flag} must be finite and > 0, got {value}")
+    return value
+
+
 def _cmd_markov(args) -> int:
     _probability("--p", args.p)
     if args.t < 1:
         raise ConfigError(f"--t must be >= 1, got {args.t}")
-    if not (math.isfinite(args.rate) and args.rate > 0.0):
-        raise ConfigError(f"--rate must be finite and > 0, got {args.rate}")
+    _rate("--rate", args.rate)
     if not (math.isfinite(args.flight_duration) and args.flight_duration >= 0.0):
         raise ConfigError(
             f"--flight-duration must be finite and >= 0, got {args.flight_duration}"

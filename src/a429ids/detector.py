@@ -48,6 +48,14 @@ def _flatten(words):
     return [seg for word in words for seg in word], owners, len(words)
 
 
+def check_t_votes(t_votes: int) -> int:
+    """Check a voting threshold; returns it as an int."""
+    t_votes = int(t_votes)
+    if not 0 <= t_votes <= 127:
+        raise ValueError(f"t_votes must be in [0, 127], got {t_votes}")
+    return t_votes
+
+
 def train_detector(
     training_words,
     set_id: FeatureSet,
@@ -63,9 +71,7 @@ def train_detector(
     cannot occur at test time either when the guarded bus replays the same
     word vocabulary); a type that occurs too rarely to fit is an error.
     """
-    t_votes = int(t_votes)
-    if not 0 <= t_votes <= 127:
-        raise ValueError(f"t_votes must be in [0, 127], got {t_votes}")
+    t_votes = check_t_votes(t_votes)
     segments, _, _ = _flatten(training_words)
     pools = features.extract_batch(set_id, segments, dt=sample_interval)
     if not pools:
@@ -191,12 +197,6 @@ def run_labels(counter: SuspicionCounter, labels) -> int | None:
         return None  # out of reach, and first_passage would allocate every level
     alarm = first_passage(labels[None, :], counter.t_suspicion, counter.value)[0, -1]
     return int(alarm) or None
-
-
-def run_stream(detector: WordDetector, counter: SuspicionCounter, word_stream) -> int | None:
-    """Classify a stream of segmented words and run the counter over it."""
-    labels, _ = classify_words(detector, word_stream)
-    return run_labels(counter, labels)
 
 
 def detector_to_dict(detector: WordDetector) -> dict:

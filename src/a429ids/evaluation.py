@@ -8,15 +8,16 @@ an EER. The complete-method evaluations reuse the held-out per-word labels:
 the counter false-alarm protocol replays the same test words under random
 cyclic shifts, and the detection-time protocol measures words-until-alarm
 on rogue streams the same way, all repetitions and thresholds at once
-through `detector.first_passage`. `build_report` makes the one synthesis and
-training pass; each `run_*` protocol returns one field of its report.
-Everything derives from the scenario seed, so reports are byte-identical
-across runs.
+through `detector.first_passage`. `build_report` is the one entry point:
+one synthesis and training pass gives every result as a field of its
+`Report`. Everything derives from the scenario seed, so reports are
+byte-identical across runs.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,6 @@ MIN_WORDS_PER_DEVICE = 500
 TRAIN_FRACTION = 0.60
 DEFAULT_T_VOTES = 100
 DEFAULT_REPS = 1000
-DEFAULT_TEST_WORDS = 1968
 DEFAULT_T_SUSPICION_GRID = tuple(range(1, 51))
 WORD_OCCUPANCY_BITS = 36.0  # 32 data bits + minimum 4-bit gap
 
@@ -91,6 +91,11 @@ class ErrorCurves:
 
 @dataclass
 class DetectionTimeStat:
+    """Words (and seconds) until the alarm at one t_suspicion, over ``reps``
+    repetitions, each an independent cyclic shift of a rogue stream. Those
+    that end unalarmed are ``censored`` and left out of the max and mean
+    (None if all are); t_suspicion words are a hard lower bound on both."""
+
     max_words: int | None
     mean_words: float | None
     censored: int
@@ -263,10 +268,18 @@ def build_report(
 ) -> Report:
     """Run the whole protocol once (one synthesis + training pass).
 
-    The protocol arguments are checked before any synthesis. ``test_words``
-    (default: every held-out word) must lie in [1, held-out words].
+    The detector trains on the first 60% of the guarded words; the curves
+    sweep t_votes 0..127, FAR on the held-out 40% and MDR on the rogue words.
+    ``counter_far`` is, per t_suspicion, the share of ``reps`` cyclic shifts
+    of the first ``test_words`` held-out labels (default: all) that alarmed.
+    Labels are the votes thresholded at ``t_votes``; the votes ignore it.
+    Every argument is checked before any synthesis.
     """
     scenario.validate()
+    t_votes = det.check_t_votes(t_votes)
+    k = lof.check_params(k, contamination)
+    if not (math.isfinite(words_per_s) and words_per_s > 0.0):
+        raise ValueError(f"words_per_s must be finite and > 0, got {words_per_s}")
     grid = list(t_suspicion_grid)
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
@@ -304,58 +317,6 @@ def build_report(
         reps=reps,
         seed=scenario.seed,
     )
-
-
-def run_single_word_eval(
-    scenario: Scenario,
-    set_id: FeatureSet,
-    k: int = lof.DEFAULT_K,
-    contamination: float = lof.DEFAULT_CONTAMINATION,
-) -> ErrorCurves:
-    """Train on 60% of the guarded words; FAR from the held-out 40%, MDR
-    from the rogue words, both swept over t_votes 0..127."""
-    return build_report(scenario, set_id, k=k, contamination=contamination).curves
-
-
-def run_counter_far(
-    scenario: Scenario,
-    set_id: FeatureSet,
-    t_votes: int = DEFAULT_T_VOTES,
-    reps: int = DEFAULT_REPS,
-    test_words: int = DEFAULT_TEST_WORDS,
-    t_suspicion_grid=DEFAULT_T_SUSPICION_GRID,
-    k: int = lof.DEFAULT_K,
-    contamination: float = lof.DEFAULT_CONTAMINATION,
-) -> dict[int, float]:
-    """Fraction of cyclic-shift repetitions in which purely normal data
-    raised an alarm, per t_suspicion."""
-    return build_report(
-        scenario, set_id, t_votes, reps, test_words, t_suspicion_grid,
-        k=k, contamination=contamination,
-    ).counter_far
-
-
-def run_detection_time(
-    scenario: Scenario,
-    set_id: FeatureSet,
-    t_votes: int = DEFAULT_T_VOTES,
-    reps: int = DEFAULT_REPS,
-    t_suspicion_grid=DEFAULT_T_SUSPICION_GRID,
-    words_per_s: float = DEFAULT_WORDS_PER_SECOND,
-    k: int = lof.DEFAULT_K,
-    contamination: float = lof.DEFAULT_CONTAMINATION,
-) -> dict[int, DetectionTimeStat]:
-    """Words (and seconds) until the alarm on rogue streams, per t_suspicion.
-
-    Each repetition applies an independent cyclic shift to a rogue stream.
-    Repetitions whose stream ends before the alarm are reported as censored
-    and excluded from the mean; the transmission of t_suspicion words is a
-    hard lower bound on the result.
-    """
-    return build_report(
-        scenario, set_id, t_votes, reps, t_suspicion_grid=t_suspicion_grid,
-        words_per_s=words_per_s, k=k, contamination=contamination,
-    ).detection_time
 
 
 # ---------------------------------------------------------------------------

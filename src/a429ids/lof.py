@@ -213,19 +213,25 @@ def _lrd(mean_reach):
     return lrd
 
 
+def check_params(k: int, contamination: float) -> int:
+    """Check `fit`'s ``k`` and ``contamination``; returns ``k`` as an int."""
+    k = int(k)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if not 0.0 < contamination < 1.0:
+        raise ValueError(f"contamination must be in (0, 1), got {contamination}")
+    return k
+
+
 def fit(points, k: int = DEFAULT_K, contamination: float = DEFAULT_CONTAMINATION) -> LofModel:
     """Fit a novelty model on training points (rows) of equal dimension."""
     x = np.asarray(points, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"training points must be a 2-d array, got shape {x.shape}")
     n = x.shape[0]
-    k = int(k)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = check_params(k, contamination)
     if n < k + 2:
         raise ValueError(f"need at least k + 2 = {k + 2} training points, got {n}")
-    if not 0.0 < contamination < 1.0:
-        raise ValueError(f"contamination must be in (0, 1), got {contamination}")
 
     mean = x.mean(axis=0)
     std = x.std(axis=0)

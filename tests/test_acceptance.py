@@ -305,15 +305,16 @@ def _rx_switch_scenario():
 def test_criterion_7_end_to_end_rx_switch():
     t0 = time.perf_counter()
     scenario = _rx_switch_scenario()
-    eer_raw = ev.compute_eer(ev.run_single_word_eval(scenario, FeatureSet.RAW))
-    eer_poly = ev.compute_eer(ev.run_single_word_eval(scenario, FeatureSet.POLYNOMIAL))
+    eer_raw = ev.build_report(scenario, FeatureSet.RAW).eer
 
     # counter false alarms on the polynomial detector; t_votes sits where
-    # the per-word FAR is non-trivial so the knee behaviour is exercised
-    counter_far = ev.run_counter_far(
+    # the per-word FAR is non-trivial so the knee behaviour is exercised.
+    # The votes, and so the EER, do not depend on t_votes: one pass gives both.
+    poly = ev.build_report(
         scenario, FeatureSet.POLYNOMIAL, t_votes=110, reps=1000,
         test_words=200, t_suspicion_grid=range(1, 51),
     )
+    eer_poly, counter_far = poly.eer, poly.counter_far
     curve = [counter_far[t] for t in range(1, 51)]
     non_increasing = all(a >= b for a, b in zip(curve, curve[1:]))
     knee = next((t for t in range(1, 51) if all(counter_far[u] == 0.0 for u in range(t, 51))), None)

@@ -177,6 +177,17 @@ def test_eval_command(scenario_path, work):
     assert len(rows) - 1 == 128
 
 
+@pytest.mark.parametrize("rate", ["0", "-1", "nan", "inf"])
+def test_eval_rejects_bad_rate_before_writing(scenario_path, tmp_path, capsys, rate):
+    status = main([
+        "eval", "--scenario", str(scenario_path), "--feature-set", "generic",
+        "--rate", rate, "--out", str(tmp_path / "report.json"),
+    ])
+    assert status == 2
+    assert "--rate" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_markov_point_query(capsys):
     assert main([
         "markov", "--p", "0.6", "--t", "100", "--target", "0.99999", "--rate", "610",

@@ -226,16 +226,17 @@ def test_label_shapes_are_checked():
         det.first_passage(np.zeros(5, dtype=bool), 3)
 
 
-def test_run_stream_end_to_end(trained, noisy_word_bank):
+def test_counter_over_classified_stream(trained, noisy_word_bank):
     _, bank = noisy_word_bank
     counter = SuspicionCounter(t_suspicion=5)
-    assert det.run_stream(trained, counter, bank) is None
+    assert det.run_labels(counter, det.classify_words(trained, bank)[0]) is None
 
     rogue_tx = TransmitterProfile(hi_volts=10.9, lo_volts=-9.1, rise_time=2.2e-6)
     rogue = bus.synthesize_stream(
         rogue_tx, [ReceiverLoad()], list(DEFAULT_WORD_SET) * 3, seed=5
     )
-    alarm = det.run_stream(trained, counter, segmentation.segment_stream(rogue))
+    labels, _ = det.classify_words(trained, segmentation.segment_stream(rogue))
+    alarm = det.run_labels(counter, labels)
     assert alarm == 5  # every rogue word anomalous: alarm exactly at t_suspicion
 
 

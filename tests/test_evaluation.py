@@ -159,8 +159,7 @@ def test_detection_time_mean_matches_chain_analysis():
 
 def test_indistinguishable_rogue_gives_chance_eer():
     scenario = _scenario(rogue_tx=None, seed=52)  # rogue profile == guarded
-    curves = ev.run_single_word_eval(scenario, FeatureSet.GENERIC)
-    eer = ev.compute_eer(curves)
+    eer = ev.build_report(scenario, FeatureSet.GENERIC).eer
     assert 0.35 <= eer <= 0.65
 
 
@@ -251,12 +250,6 @@ def test_rogue_variant_helpers():
     assert added.loads[0] == setup.loads[0]
 
 
-def test_counter_far_requires_enough_test_words():
-    scenario = _scenario(rogue_tx=SEPARATED_TX, seed=55)
-    with pytest.raises(ValueError, match="test set"):
-        ev.run_counter_far(scenario, FeatureSet.GENERIC, test_words=1968)
-
-
 @pytest.mark.parametrize("kwargs, message", [
     ({"reps": 0}, "reps must be >= 1, got 0"),
     ({"reps": -1}, "reps must be >= 1, got -1"),
@@ -265,6 +258,17 @@ def test_counter_far_requires_enough_test_words():
     ({"test_words": 0}, "test_words must be >= 1, got 0"),
     ({"test_words": -5}, "test_words must be >= 1, got -5"),
     ({"test_words": 201}, "test set has 200 words, need 201"),
+    ({"test_words": 1968}, "test set has 200 words, need 1968"),
+    ({"words_per_s": 0.0}, "words_per_s must be finite and > 0, got 0.0"),
+    ({"words_per_s": -1.0}, "words_per_s must be finite and > 0, got -1.0"),
+    ({"words_per_s": float("nan")}, "words_per_s must be finite and > 0, got nan"),
+    ({"words_per_s": float("inf")}, "words_per_s must be finite and > 0, got inf"),
+    ({"t_votes": -1}, "t_votes must be in [0, 127], got -1"),
+    ({"t_votes": 128}, "t_votes must be in [0, 127], got 128"),
+    ({"k": 0}, "k must be >= 1, got 0"),
+    ({"contamination": 0.0}, "contamination must be in (0, 1), got 0.0"),
+    ({"contamination": 1.0}, "contamination must be in (0, 1), got 1.0"),
+    ({"contamination": float("nan")}, "contamination must be in (0, 1), got nan"),
 ])
 def test_build_report_checks_arguments_before_synthesis(kwargs, message, monkeypatch):
     def no_synthesis(*args, **kwargs):
@@ -299,13 +303,3 @@ def test_protocols_are_fields_of_one_report(monkeypatch):
     assert report.detection_time[1].censored == 0
     assert 0 < report.detection_time[60].censored < 100
     assert report.detection_time[70].mean_words is None
-
-    curves = ev.run_single_word_eval(scenario, FeatureSet.GENERIC)
-    assert np.array_equal(curves.far, report.curves.far)
-    assert np.array_equal(curves.mdr, report.curves.mdr)
-    assert ev.run_counter_far(
-        scenario, FeatureSet.GENERIC, test_words=150, **protocol
-    ) == report.counter_far
-    assert ev.run_detection_time(
-        scenario, FeatureSet.GENERIC, words_per_s=500.0, **protocol
-    ) == report.detection_time
