@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import features, lof
+from . import features, lof, markov
 from .features import DEFAULT_SAMPLE_INTERVAL, FeatureSet
 from .segmentation import SEGMENTS_PER_WORD, SegmentTable, SegmentType
 
@@ -126,8 +126,7 @@ class SuspicionCounter:
     alarmed: bool = False
 
     def __post_init__(self):
-        if self.t_suspicion < 1:
-            raise ValueError(f"t_suspicion must be >= 1, got {self.t_suspicion}")
+        markov.check_t(self.t_suspicion)
         if not 0 <= self.value <= self.t_suspicion:
             raise ValueError(f"counter value {self.value} outside [0, {self.t_suspicion}]")
         # counter_step raises the alarm exactly when the value reaches t_suspicion

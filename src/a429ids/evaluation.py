@@ -17,12 +17,11 @@ byte-identical across runs.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import bus, detector as det, lof, segmentation, words as words_mod
+from . import bus, detector as det, lof, markov, segmentation, words as words_mod
 from .bus import ReceiverLoad, TransmitterProfile
 from .features import FeatureSet
 from .markov import DEFAULT_WORDS_PER_SECOND
@@ -74,11 +73,8 @@ class Scenario:
             raise ValueError("scenario needs at least one word value")
         for value in self.words:
             words_mod.check_word(value)
-        if self.words_per_device < MIN_WORDS_PER_DEVICE:
-            raise ValueError(
-                f"words_per_device must be >= {MIN_WORDS_PER_DEVICE}, "
-                f"got {self.words_per_device}"
-            )
+        check_at_least("words_per_device", self.words_per_device, MIN_WORDS_PER_DEVICE)
+        check_at_least("seed", self.seed, 0)
 
 
 @dataclass
@@ -128,6 +124,24 @@ def _rng(scenario_seed: int, purpose: int) -> np.random.Generator:
 
 def _device_seed(scenario_seed: int, purpose: int) -> int:
     return int(_rng(scenario_seed, purpose).integers(0, 2**63))
+
+
+def check_at_least(name: str, value: int, low: int = 1) -> int:
+    """Check that the integer argument ``name`` is at least ``low``; returns it as an int."""
+    value = int(value)
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
+def check_test_words(scenario: Scenario, test_words: int | None) -> int:
+    """Held-out words per counter-FAR repetition: ``test_words``, or if None
+    all that `_prepare` holds out (the words after the first 60%)."""
+    held_out = scenario.words_per_device - round(TRAIN_FRACTION * scenario.words_per_device)
+    test_words = held_out if test_words is None else check_at_least("test_words", test_words)
+    if test_words > held_out:
+        raise ValueError(f"test set has {held_out} words, need {test_words}")
+    return test_words
 
 
 def _word_list(scenario: Scenario) -> list[int]:
@@ -232,19 +246,21 @@ def _shifted_first_passage(labels, reps: int, max_level: int, rng: np.random.Gen
 def _counter_far_from_labels(
     labels: np.ndarray, reps: int, grid, rng: np.random.Generator
 ) -> dict[int, float]:
-    hits = _shifted_first_passage(labels, reps, max(grid), rng)
-    return {int(ts): float(np.mean(hits[:, ts] > 0)) for ts in grid}
+    top = min(max(grid), len(labels))  # no counter climbs above the stream length
+    hits = _shifted_first_passage(labels, reps, top, rng)
+    return {int(ts): float(np.mean(hits[:, ts] > 0)) if ts <= top else 0.0 for ts in grid}
 
 
 def _detection_time_from_labels(
     per_variant_labels, reps: int, grid, rng: np.random.Generator, words_per_s: float
 ) -> dict[int, DetectionTimeStat]:
+    top = min(max(grid), max(map(len, per_variant_labels)))  # no higher level is reached
     hits = np.vstack([
-        _shifted_first_passage(labels, reps, max(grid), rng) for labels in per_variant_labels
+        _shifted_first_passage(labels, reps, top, rng) for labels in per_variant_labels
     ])
     out: dict[int, DetectionTimeStat] = {}
     for ts in grid:
-        times = hits[:, ts]
+        times = hits[:, ts] if ts <= top else np.zeros(len(hits), dtype=np.int64)
         observed = times[times > 0]
         stat = DetectionTimeStat(None, None, censored=len(times) - len(observed), reps=len(times))
         if len(observed):
@@ -277,24 +293,14 @@ def build_report(
     """
     scenario.validate()
     t_votes = det.check_t_votes(t_votes)
-    k = lof.check_params(k, contamination)
-    if not (math.isfinite(words_per_s) and words_per_s > 0.0):
-        raise ValueError(f"words_per_s must be finite and > 0, got {words_per_s}")
+    k, contamination = lof.check_k(k), lof.check_contamination(contamination)
+    markov.check_words_per_s(words_per_s)
     grid = list(t_suspicion_grid)
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
+    reps = check_at_least("reps", reps)
     if not grid:
         raise ValueError("t_suspicion_grid is empty")
-    if min(grid) < 1:
-        raise ValueError(f"t_suspicion_grid values must be >= 1, got {min(grid)}")
-    # _prepare holds out the words after the first 60%, one per word marker
-    held_out = scenario.words_per_device - round(TRAIN_FRACTION * scenario.words_per_device)
-    if test_words is None:
-        test_words = held_out
-    if test_words < 1:
-        raise ValueError(f"test_words must be >= 1, got {test_words}")
-    if test_words > held_out:
-        raise ValueError(f"test set has {held_out} words, need {test_words}")
+    check_at_least("t_suspicion_grid values", min(grid))
+    test_words = check_test_words(scenario, test_words)
     test_votes, rogue_votes = _prepare(scenario, set_id, t_votes, k, contamination)
     curves = _curves_from_votes(test_votes, rogue_votes)
     eer = compute_eer(curves)

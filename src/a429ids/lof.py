@@ -213,14 +213,19 @@ def _lrd(mean_reach):
     return lrd
 
 
-def check_params(k: int, contamination: float) -> int:
-    """Check `fit`'s ``k`` and ``contamination``; returns ``k`` as an int."""
+def check_k(k: int) -> int:
+    """Check `fit`'s neighbour count; returns it as an int."""
     k = int(k)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    return k
+
+
+def check_contamination(contamination: float) -> float:
+    """Check `fit`'s contamination; returns it as a float."""
     if not 0.0 < contamination < 1.0:
         raise ValueError(f"contamination must be in (0, 1), got {contamination}")
-    return k
+    return float(contamination)
 
 
 def fit(points, k: int = DEFAULT_K, contamination: float = DEFAULT_CONTAMINATION) -> LofModel:
@@ -229,7 +234,7 @@ def fit(points, k: int = DEFAULT_K, contamination: float = DEFAULT_CONTAMINATION
     if x.ndim != 2:
         raise ValueError(f"training points must be a 2-d array, got shape {x.shape}")
     n = x.shape[0]
-    k = check_params(k, contamination)
+    k, contamination = check_k(k), check_contamination(contamination)
     if n < k + 2:
         raise ValueError(f"need at least k + 2 = {k + 2} training points, got {n}")
 

@@ -39,18 +39,31 @@ class CounterChain:
     transition: np.ndarray  # (T+1, T+1), row-stochastic
 
 
-def _check_p(p: float) -> float:
+# Argument checks, shared with the command line; each returns its argument as used.
+def check_p(p: float) -> float:
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"anomaly probability must be in [0, 1], got {p}")
     return p
 
 
-def _check_t(t_suspicion: int) -> int:
+def check_t(t_suspicion: int) -> int:
     t = int(t_suspicion)
     if t < 1:
         raise ValueError(f"t_suspicion must be >= 1, got {t_suspicion}")
     return t
+
+
+def check_words_per_s(words_per_s: float) -> float:
+    if not (np.isfinite(words_per_s) and words_per_s > 0.0):
+        raise ValueError(f"words_per_s must be finite and > 0, got {words_per_s}")
+    return float(words_per_s)
+
+
+def check_duration_s(duration_s: float) -> float:
+    if not (np.isfinite(duration_s) and duration_s >= 0.0):
+        raise ValueError(f"duration_s must be finite and >= 0, got {duration_s}")
+    return float(duration_s)
 
 
 def build_chain(p: float, t_suspicion: int) -> CounterChain:
@@ -59,8 +72,8 @@ def build_chain(p: float, t_suspicion: int) -> CounterChain:
     Interior states move up with probability ``p`` and down with ``1 - p``;
     state 0 floors (self-loop on a normal word) and state T is absorbing.
     """
-    p = _check_p(p)
-    t = _check_t(t_suspicion)
+    p = check_p(p)
+    t = check_t(t_suspicion)
     matrix = np.zeros((t + 1, t + 1))
     for i in range(t):
         matrix[i, max(i - 1, 0)] += 1.0 - p
@@ -99,8 +112,8 @@ def time_to_detect(
     valid because alarm_probability is non-decreasing in n (the alarm state
     is absorbing).
     """
-    p = _check_p(p)
-    t = _check_t(t_suspicion)
+    p = check_p(p)
+    t = check_t(t_suspicion)
     if target <= 0.0:
         return 0
     if p == 0.0:
@@ -144,10 +157,11 @@ def time_to_detect_seconds(
     words_per_s: float = DEFAULT_WORDS_PER_SECOND,
 ) -> float | None:
     """`time_to_detect` converted to seconds at the given word rate."""
+    words_per_s = check_words_per_s(words_per_s)
     n = time_to_detect(p, t_suspicion, target)
     if n is None:
         return None
-    return n / float(words_per_s)
+    return n / words_per_s
 
 
 def flight_false_alarm(
@@ -157,5 +171,5 @@ def flight_false_alarm(
     words_per_s: float = DEFAULT_WORDS_PER_SECOND,
 ) -> float:
     """Probability of at least one alarm over a whole flight of normal data."""
-    n = round(float(duration_s) * float(words_per_s))
+    n = round(check_duration_s(duration_s) * check_words_per_s(words_per_s))
     return alarm_probability(p, t_suspicion, n)

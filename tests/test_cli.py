@@ -177,17 +177,6 @@ def test_eval_command(scenario_path, work):
     assert len(rows) - 1 == 128
 
 
-@pytest.mark.parametrize("rate", ["0", "-1", "nan", "inf"])
-def test_eval_rejects_bad_rate_before_writing(scenario_path, tmp_path, capsys, rate):
-    status = main([
-        "eval", "--scenario", str(scenario_path), "--feature-set", "generic",
-        "--rate", rate, "--out", str(tmp_path / "report.json"),
-    ])
-    assert status == 2
-    assert "--rate" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
-
-
 def test_markov_point_query(capsys):
     assert main([
         "markov", "--p", "0.6", "--t", "100", "--target", "0.99999", "--rate", "610",
@@ -222,19 +211,47 @@ def test_markov_rejects_bad_p_list_before_writing(tmp_path, capsys, p_list, bad)
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("flag, value", [
-    ("--rate", "0"), ("--flight-duration", "-5"), ("--target", "1.5"),
-])
-def test_markov_rejects_bad_flags_before_writing(tmp_path, capsys, flag, value):
-    status = main([
-        "markov", "--p", "0.4", "--t", "3", "--out", str(tmp_path / "sweep.csv"), flag, value,
-    ])
-    assert status == 2
-    assert flag in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+# every numeric flag of every command, with a value out of its range: the
+# scenario held out 200 of its 500 words, so --test-words 201 is one too many
+BAD_FLAGS = [
+    ("synth", "--words", "0"), ("synth", "--words", "-3"), ("synth", "--seed", "-1"),
+    ("train", "--t-votes", "128"), ("train", "--t-votes", "-1"), ("train", "--k", "0"),
+    ("train", "--contamination", "0"), ("train", "--contamination", "1.5"),
+    ("run", "--t-suspicion", "0"), ("run", "--t-suspicion", "-2"),
+    ("eval", "--t-votes", "200"), ("eval", "--reps", "0"), ("eval", "--test-words", "0"),
+    ("eval", "--test-words", "201"), ("eval", "--max-t-suspicion", "0"), ("eval", "--k", "0"),
+    ("eval", "--contamination", "1.5"), ("eval", "--contamination", "nan"),
+    ("eval", "--rate", "0"), ("eval", "--rate", "-1"), ("eval", "--rate", "nan"),
+    ("eval", "--rate", "inf"),
+    ("markov", "--p", "1.5"), ("markov", "--p", "nan"), ("markov", "--t", "0"),
+    ("markov", "--rate", "0"), ("markov", "--rate", "-1"), ("markov", "--rate", "nan"),
+    ("markov", "--flight-duration", "-5"), ("markov", "--flight-duration", "inf"),
+    ("markov", "--target", "0"), ("markov", "--target", "1.5"),
+]
 
 
-def test_exit_codes(scenario_path, work, tmp_path):
+@pytest.mark.parametrize("command, flag, value", BAD_FLAGS, ids=[" ".join(c) for c in BAD_FLAGS])
+def test_bad_flag_exits_2_before_writing(scenario_path, tmp_path, capsys, command, flag, value):
+    out = tmp_path / "out"
+    out.mkdir()
+    # train and run name files that do not exist: the flag must be reported
+    # before any file is opened
+    missing = str(tmp_path / "missing.bin")
+    args = {
+        "synth": ["--scenario", str(scenario_path), "--out", str(out / "trace.bin")],
+        "train": ["--trace", missing, "--feature-set", "generic", "--out", str(out / "model.npz")],
+        "run": ["--model", missing, "--trace", missing, "--out", str(out / "run.csv")],
+        "eval": ["--scenario", str(scenario_path), "--feature-set", "generic",
+                 "--out", str(out / "report.json")],
+        "markov": ["--p", "0.4", "--t", "3", "--out", str(out / "sweep.csv")],
+    }[command]
+    assert main([command, *args, flag, value]) == 2
+    err = capsys.readouterr().err
+    assert flag in err and "missing.bin" not in err
+    assert list(out.iterdir()) == []
+
+
+def test_exit_codes(scenario_path, work, tmp_path, capsys):
     # missing scenario file -> config error
     assert main(["synth", "--scenario", "/nope.json", "--out", str(work / "x.bin")]) == 2
     # bad scenario content -> config error
@@ -250,8 +267,15 @@ def test_exit_codes(scenario_path, work, tmp_path):
         "synth", "--scenario", str(scenario_path), "--device", "rogue:9",
         "--out", str(work / "x.bin"),
     ]) == 2
-    # unknown feature set -> argparse rejects with SystemExit(2)
-    with pytest.raises(SystemExit) as exc:
-        main(["features", "--trace", str(work / "train.bin"),
-              "--feature-set", "wavelet", "--out", str(work / "z.csv")])
-    assert exc.value.code == 2
+    # a negative scenario seed -> config error naming the field
+    record = json.loads(scenario_path.read_text())
+    record["seed"] = -3
+    bad.write_text(json.dumps(record))
+    assert main([
+        "eval", "--scenario", str(bad), "--feature-set", "generic",
+        "--out", str(tmp_path / "report.json"),
+    ]) == 2
+    assert "seed must be >= 0, got -3" in capsys.readouterr().err
+    # unknown feature set -> argparse's exit status, returned
+    assert main(["features", "--trace", str(work / "train.bin"),
+                 "--feature-set", "wavelet", "--out", str(work / "z.csv")]) == 2

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,6 +113,34 @@ def test_detection_time_censoring_reported():
     assert stat.censored == 20 and stat.max_words is None and stat.mean_words is None
 
 
+def test_protocol_tables_stop_at_the_stream_length():
+    # no counter climbs above the stream length, so levels beyond it must not
+    # be tabled: (1000, 200) labels at max_level 5000 peaked at 45.9 MB when
+    # they were, against 2.0 MB at max_level 50
+    labels = np.random.default_rng(62).random(200) < 0.55
+    tracemalloc.start()
+    try:
+        far = ev._counter_far_from_labels(labels, 1000, range(1, 5001), np.random.default_rng(11))
+        times = ev._detection_time_from_labels(
+            [labels], 1000, range(1, 5001), np.random.default_rng(12), 610.0
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+    # the reachable levels read as with a grid that stops at the stream length
+    short_far = ev._counter_far_from_labels(labels, 1000, range(1, 201), np.random.default_rng(11))
+    short_times = ev._detection_time_from_labels(
+        [labels], 1000, range(1, 201), np.random.default_rng(12), 610.0
+    )
+    assert [far[ts] for ts in range(1, 201)] == [short_far[ts] for ts in range(1, 201)]
+    assert [times[ts] for ts in range(1, 201)] == [short_times[ts] for ts in range(1, 201)]
+    assert 0.0 < far[10] < 1.0 and 0 < times[10].censored < 1000
+    for ts in (201, 5000):
+        assert far[ts] == 0.0
+        assert times[ts] == ev.DetectionTimeStat(None, None, censored=1000, reps=1000)
+
+
 def test_detection_time_non_decreasing_in_threshold():
     rng = np.random.default_rng(9)
     labels = rng.random(5000) < 0.7
@@ -217,6 +246,8 @@ def test_scenario_validation():
             guarded=good.guarded, rogues=good.rogues,
             words_per_device=500, attack_kind="nonsense",
         ).validate()
+    with pytest.raises(ValueError, match=re.escape("seed must be >= 0, got -3")):
+        _scenario(seed=-3).validate()
 
 
 def test_scenario_json_roundtrip(tmp_path):

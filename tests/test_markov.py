@@ -122,3 +122,13 @@ def test_validation_errors():
         markov.build_chain(0.5, 0)
     with pytest.raises(ValueError):
         markov.alarm_probability(0.5, 5, -1)
+    # a word rate or flight duration that is not a finite number in range is
+    # rejected by name, even where the answer would not use it (p = 0)
+    for rate in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match=f"words_per_s must be finite and > 0, got {rate}"):
+            markov.time_to_detect_seconds(0.0, 5, words_per_s=rate)
+        with pytest.raises(ValueError, match=f"words_per_s must be finite and > 0, got {rate}"):
+            markov.flight_false_alarm(0.4, 5, words_per_s=rate)
+    for duration in (-5.0, float("inf")):
+        with pytest.raises(ValueError, match=f"duration_s must be finite and >= 0, got {duration}"):
+            markov.flight_false_alarm(0.4, 5, duration_s=duration)
