@@ -14,6 +14,8 @@ import csv
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import bus, detector as det, evaluation, features, lof, markov, segmentation
 from .features import FeatureSet
 
@@ -111,17 +113,20 @@ def _cmd_features(args) -> int:
     set_id = FeatureSet(args.feature_set)
     trace, table = _read_table(args.trace)
     types = table.types.ravel().tolist()
-    vectors = {}
-    for positions, matrix in features.extract_batch(
-        set_id, table, dt=1.0 / trace.sample_rate
-    ).values():
-        vectors.update(zip(positions.tolist(), matrix.tolist()))
+    batch = features.extract_batch(set_id, table, dt=1.0 / trace.sample_rate).values()
+    matrices = [matrix for _, matrix in batch]
+    # each vector's position, group and row within the group, in position order
+    positions = np.concatenate([np.empty(0, dtype=np.int64), *(p for p, _ in batch)])
+    group = np.repeat(np.arange(len(matrices)), [len(m) for m in matrices])
+    row = np.arange(len(positions)) - np.cumsum([0, *map(len, matrices)])[group]
+    order = np.argsort(positions)
+
     def rows():
-        for pos in sorted(vectors):
-            wi, si = divmod(pos, segmentation.SEGMENTS_PER_WORD)
+        for pos, g, r in zip(positions[order], group[order], row[order]):
+            wi, si = divmod(int(pos), segmentation.SEGMENTS_PER_WORD)
             yield (
                 [wi, si, segmentation.SEGMENT_TYPES[types[pos]].value, set_id.value]
-                + [repr(v) for v in vectors[pos]]
+                + [repr(v) for v in matrices[g][r].tolist()]
             )
     _write_csv(args.out, "word_index,segment_index,segment_type,set,features...", rows())
     print(f"extracted {set_id.value} features for {len(table)} words -> {args.out}")

@@ -220,8 +220,10 @@ def detector_from_dict(data: dict) -> WordDetector:
         sample_interval = float(data.pop("sample_interval"))
     except KeyError as exc:
         raise ValueError(f"detector record missing key {exc}") from exc
-    if not 0 <= t_votes <= 127:
-        raise ValueError(f"detector record field 't_votes' is {t_votes}, must be in [0, 127]")
+    try:
+        check_t_votes(t_votes)
+    except ValueError as exc:
+        raise ValueError(f"detector record field 't_votes' is {t_votes}: {exc}") from None
     if not (np.isfinite(sample_interval) and sample_interval > 0.0):
         raise ValueError(
             f"detector record field 'sample_interval' is {sample_interval}, "

@@ -299,7 +299,7 @@ def build_report(
     reps = check_at_least("reps", reps)
     if not grid:
         raise ValueError("t_suspicion_grid is empty")
-    check_at_least("t_suspicion_grid values", min(grid))
+    markov.check_t(min(grid), "t_suspicion_grid values")
     test_words = check_test_words(scenario, test_words)
     test_votes, rogue_votes = _prepare(scenario, set_id, t_votes, k, contamination)
     curves = _curves_from_votes(test_votes, rogue_votes)

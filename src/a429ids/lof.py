@@ -15,38 +15,43 @@ points), its density is replaced by a large sentinel shared by fit and
 query paths, so clusters of duplicates score 1 rather than dividing by
 zero.
 
-Fit and scoring share one exact neighbour search with two paths, chosen by
-the dimension alone:
+Fit and scoring share one exact neighbour search. Two screens propose
+candidates, chosen by the dimension alone, and one routine, ``_select``,
+recomputes the candidates' distances with cdist's arithmetic and keeps every
+candidate within the k-distance, ties included:
 
 - Up to ``_TREE_MAX_DIM`` (12) dimensions - every polynomial, generic and
   handcrafted type and the raw transitions - a k-d tree over the training
   matrix, built once per model, proposes the k nearest points plus
-  ``_TREE_EXTRA`` spare candidates. Their distances are recomputed with
-  cdist's arithmetic and every candidate within the k-distance is kept.
-  When the farthest candidate ties the k-distance, more ties may lie beyond
-  it (duplicates, lattices), so that row alone is searched again by the
-  dense path below.
+  ``_TREE_EXTRA`` spare candidates. When a row's farthest candidate ties its
+  k-distance, more ties may lie beyond it (duplicates, lattices), so that
+  row alone is searched again by the dense screen below.
 - Above the cut - raw plateaus and nulls, 20 and 17 dimensions, where the
-  tree is slower - blocks of at most ``_CHUNK_ELEMENTS`` distances are
-  computed with cdist and only each row's neighbours are kept.
+  tree is slower - blocks of query rows estimate their squared distances to
+  every training point with one float32 matrix product. Each row proposes
+  the points within its k-th smallest estimate plus twice a written rounding
+  bound, which holds for any BLAS summation order, so no neighbour is lost;
+  a row float32 cannot carry proposes every point.
 
-Both paths list each row's neighbours by ascending training index, so the
+Both screens list each row's candidates by ascending training index, so the
 density and score sums add up in the same order and the two paths agree to
 the bit.
 
 The tree queries run on ``parallel.WORKERS`` threads (scipy's ``workers``),
-which give the same output to the bit for any count. The dense path stays
+which give the same output to the bit for any count. The dense screen stays
 on the calling thread, for the reason given in ``_dense_pairs``.
 
 Neighbourhoods are flat (row, training index, distance) lists, one entry per
 neighbour: about k per point, more where ties widen a neighbourhood, so a
 cluster of c duplicates costs about c^2 entries. Per-row sums over the lists
-use ``np.bincount``. On the dense path a fit also holds up to two distance
-blocks of 34 MB each, and a fitted model keeps only its own arrays. The test
-suite checks the tracemalloc peak of a fit on 47 000 x 4 points (tree path)
-against 160 MB, on 10 000 x 20 points (dense path) against 512 MB and on
-20 000 x 4 points with 1000 duplicates against 250 MB, and checks that a
-fitted model holds at most 1.5 times the bytes of its arrays.
+use ``np.bincount``. The dense screen holds a float32 block and its
+partitioned copy, 16 MB together, and a fitted model keeps only its own
+arrays. The test suite checks the tracemalloc peak of a fit on 47 000 x 4
+points (tree path) against 160 MB, on 10 000 x 20 points (dense path)
+against 512 MB and on 20 000 x 4 points with 1000 duplicates against 250 MB,
+that a fit on 4800 x 20 points peaks at no more than half the former cdist
+blocks' peak, and that a fitted model holds at most 1.5 times the bytes of
+its arrays.
 """
 
 from __future__ import annotations
@@ -55,7 +60,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from . import parallel
 
@@ -65,8 +69,14 @@ DEFAULT_CONTAMINATION = 0.10
 # Stand-in density for duplicate collapse; ratios of sentinels are exactly 1.
 _DUPLICATE_LRD = 1.0e12
 
-# Cap on distance-matrix entries held at once on the dense path.
+# Cap on float32 estimates held at once by the dense screen, its block and
+# the block's partitioned copy together.
 _CHUNK_ELEMENTS = 2**22
+
+# float32's unit roundoff, and the largest W = (|q| + max |t|)^2 whose
+# estimates cannot overflow float32 (see ``_dense_pairs``).
+_U32 = 2.0**-24
+_F32_LIMIT = float(np.finfo(np.float32).max) / 4.0
 
 # Highest dimension served by the k-d tree; above it the dense path is faster.
 _TREE_MAX_DIM = 12
@@ -109,43 +119,114 @@ def _build_tree(train):
     return cKDTree(train) if train.shape[1] <= _TREE_MAX_DIM else None
 
 
-def _distances(queries, train, cols):
-    """Euclidean distances of query rows to ``train[cols]``, (m, c).
+def _select(queries, train, k, rows, cols, self_cols):
+    """(kdist, row, col, dist) of the neighbours among flat candidates.
 
-    Squared differences are summed one dimension at a time, the order cdist
-    uses, so the results equal cdist's to the bit (checked against scipy
-    1.17.1 at 1 to 24 dimensions).
+    Query row ``rows[j]`` proposes training point ``cols[j]``. Entries are
+    ordered by row, then by ascending training index, and every row proposes
+    all of its neighbours, so at least k points besides itself. Squared
+    differences are summed one dimension at a time, the order cdist uses, so
+    the distances equal cdist's to the bit (checked against scipy 1.17.1 at 1
+    to 24 dimensions). Each row keeps every candidate within its k-distance.
     """
-    sq = np.zeros(cols.shape)
+    dist = np.zeros(len(rows))
     for j in range(train.shape[1]):
-        diff = queries[:, j, None] - train[cols, j]
-        sq += diff * diff
-    return np.sqrt(sq)
+        diff = queries[rows, j]
+        diff -= train[cols, j]
+        diff *= diff
+        dist += diff
+    np.sqrt(dist, out=dist)
+    if self_cols is not None:
+        dist[cols == self_cols[rows]] = np.inf
+    # each row's k-th smallest distance, from the rows padded with inf
+    counts = np.bincount(rows, minlength=len(queries))
+    pos = np.arange(len(rows))
+    pos -= (np.cumsum(counts) - counts)[rows]
+    padded = np.full((len(queries), counts.max()), np.inf)
+    padded[rows, pos] = dist
+    del pos
+    padded.partition(k - 1, axis=1)
+    kd = padded[:, k - 1].copy()
+    del padded
+    keep = dist <= kd[rows]
+    return kd, rows[keep], cols[keep], dist[keep]
+
+
+def _round_up_f32(x):
+    """float64 values as float32, rounded up (towards +inf)."""
+    with np.errstate(over="ignore"):
+        y = x.astype(np.float32)
+    return np.where(y < x, np.nextafter(y, np.float32(np.inf)), y)
 
 
 def _dense_pairs(queries, train, k, self_cols):
-    """(kdist, row, col, dist) of every neighbour from full distance rows.
+    """(kdist, row, col, dist) of every neighbour: screened in float32, then exact.
 
     ``self_cols`` holds each query row's own training index, which is not
     its neighbour, or is None when the queries are not training points.
 
-    The blocks run one after another on the calling thread. Two threads
-    scored raw captures about 30% faster, but the ``monitor-tx-raw``
-    benchmark keeps every round's segmented captures (about 5.8 MB a
-    round), so the extra rounds read as a 6% rise in its peak RSS, past
-    that metric's bound. Splitting the blocks waits until the benchmark
-    keeps one round's outputs.
+    For each block of query rows one float32 product estimates every squared
+    distance as e = |q|^2 + |t|^2 - 2 q.t, the squared norms summed in
+    float64 and rounded to float32. A row keeps each column with e at most
+    tau + 2 delta, tau being the row's k-th smallest estimate (its own column
+    left out), and ``_select`` recomputes and selects those columns exactly.
+    No neighbour is dropped, whatever order the product sums in:
+
+    - Let u = 2**-24, W = (|q| + max_t |t|)^2 and g(n) = n u / (1 - n u).
+      Rounding q and t to float32 moves q.t by at most (2u + u^2)|q||t|. The
+      product, summed in any order, adds at most g(d)(1 + u)^2 |q||t|. Each
+      rounded norm is off by at most 1.01u |q|^2 (or |t|^2). Each of the two
+      adds, in either order, rounds by at most u times a sum below
+      (1 + 3u + g(d)) W. With 2|q||t| <= W and |q|^2 + |t|^2 <= W,
+      |e - |q - t|^2| is at most (d + 5.01) u W plus terms of order
+      (d + 3)^2 u^2 W, below delta = g(d + 8) W + d 2**-120. The spare,
+      over 2.9 u W, covers cdist's own float64 rounding, ties made by its
+      square root and the float64 sums below; d 2**-120 covers float32
+      underflow, gradual or flushed to zero.
+    - The k columns estimated at or below tau lie within tau + delta, so the
+      k-distance does too, and a neighbour's estimate is at most tau + 2 delta.
+    - tau + 2 delta is summed in float64 and rounded up to float32, so the
+      float32 comparison never rounds the bound down.
+
+    A row whose W passes a quarter of float32's largest value could overflow
+    (non-finite inputs included), so it keeps its full row.
+
+    The float32 block and its partitioned copy together hold at most
+    ``_CHUNK_ELEMENTS`` entries, and the block is freed before the exact
+    pass. The blocks run one after another on the calling thread; splitting
+    them across cores waits until the ``monitor-tx-raw`` benchmark stops
+    counting its rounds in its peak RSS (ROADMAP, item 1).
     """
+    d = train.shape[1]
+    gamma = (d + 8) * _U32 / (1.0 - (d + 8) * _U32)
+    train_sq = np.einsum("ij,ij->i", train, train)
+    reach = np.sqrt(train_sq.max())
+    with np.errstate(over="ignore"):
+        train32 = train.astype(np.float32)
+        train_sq32 = train_sq.astype(np.float32)
     found = []
-    chunk = max(1, _CHUNK_ELEMENTS // len(train))
+    chunk = max(1, _CHUNK_ELEMENTS // (2 * len(train)))
     for lo in range(0, len(queries), chunk):
-        dist = cdist(queries[lo : lo + chunk], train)
-        if self_cols is not None:
-            dist[np.arange(len(dist)), self_cols[lo : lo + chunk]] = np.inf
-        # a copy: a view would keep the whole partitioned block alive
-        kd = np.partition(dist, k - 1, axis=1)[:, k - 1].copy()
-        rows, cols = np.nonzero(dist <= kd[:, None])
-        found.append((kd, rows + lo, cols, dist[rows, cols]))
+        q = queries[lo : lo + chunk]
+        own = None if self_cols is None else self_cols[lo : lo + chunk]
+        q_sq = np.einsum("ij,ij->i", q, q)
+        w = (np.sqrt(q_sq) + reach) ** 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            est = q.astype(np.float32) @ train32.T
+            est *= -2.0
+            est += q_sq.astype(np.float32)[:, None]
+            est += train_sq32
+        if own is not None:
+            est[np.arange(len(q)), own] = np.inf
+        tau = np.partition(est, k - 1, axis=1)[:, k - 1].astype(np.float64)
+        bound = _round_up_f32(tau + 2.0 * (gamma * w + d * 2.0**-120))
+        cand = est <= bound[:, None]
+        del est
+        cand[~(w <= _F32_LIMIT)] = True
+        rows, cols = np.divmod(np.flatnonzero(cand), len(train))
+        del cand
+        kd, rows, cols, dist = _select(q, train, k, rows, cols, own)
+        found.append((kd, rows + lo, cols, dist))
     return [np.concatenate(parts) for parts in zip(*found)]
 
 
@@ -154,34 +235,33 @@ def _tree_pairs(queries, train, k, self_cols, tree):
     n = len(train)
     width = min(n, k + _TREE_EXTRA + int(self_cols is not None))
     cand_dist, cand = tree.query(queries, k=width, workers=parallel.WORKERS)
+    farthest = cand_dist[:, -1].copy()
+    del cand_dist
     cand.sort(axis=1)
-    dist = _distances(queries, train, cand)
-    if self_cols is not None:
-        dist[cand == self_cols[:, None]] = np.inf
-    kd = np.partition(dist, k - 1, axis=1)[:, k - 1].copy()
-    keep = dist <= kd[:, None]
+    rows = np.repeat(np.arange(len(queries)), width)
+    kd, rows, cols, dist = _select(queries, train, k, rows, cand.ravel(), self_cols)
     # a row whose farthest candidate ties its k-distance may have more ties
-    # beyond the candidates: the dense path searches it in full
+    # beyond the candidates: the screen searches it in full
     redo = np.empty(0, dtype=np.int64)
     if width < n:
-        redo = np.flatnonzero(cand_dist[:, -1] <= kd * (1.0 + _TIE_SLACK))
-        keep[redo] = False
-    rows, pos = np.nonzero(keep)
-    cols, dist = cand[rows, pos], dist[rows, pos]
+        redo = np.flatnonzero(farthest <= kd * (1.0 + _TIE_SLACK))
     if len(redo) == 0:
         return kd, rows, cols, dist
 
+    keep = np.ones(len(queries), dtype=bool)
+    keep[redo] = False
+    keep = keep[rows]
     r_kd, r_rows, r_cols, r_dist = _dense_pairs(
         queries[redo], train, k, None if self_cols is None else self_cols[redo]
     )
     kd[redo] = r_kd
-    rows = np.concatenate([rows, redo[r_rows]])
+    rows = np.concatenate([rows[keep], redo[r_rows]])
     order = np.argsort(rows, kind="stable")
     return (
         kd,
         rows[order],
-        np.concatenate([cols, r_cols])[order],
-        np.concatenate([dist, r_dist])[order],
+        np.concatenate([cols[keep], r_cols])[order],
+        np.concatenate([dist[keep], r_dist])[order],
     )
 
 

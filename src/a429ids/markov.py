@@ -47,10 +47,10 @@ def check_p(p: float) -> float:
     return p
 
 
-def check_t(t_suspicion: int) -> int:
+def check_t(t_suspicion: int, name: str = "t_suspicion") -> int:
     t = int(t_suspicion)
     if t < 1:
-        raise ValueError(f"t_suspicion must be >= 1, got {t_suspicion}")
+        raise ValueError(f"{name} must be >= 1, got {t_suspicion}")
     return t
 
 
