@@ -118,12 +118,19 @@ class ReceiverLoad:
 
 
 class Trace:
-    """Uniformly sampled differential voltage record with word markers."""
+    """Uniformly sampled differential voltage record with word markers.
+
+    Samples are float64, except that float32 samples (a capture read from
+    an f32le file) stay float32, at 4 bytes a sample.
+    """
 
     def __init__(self, sample_rate, bit_rate, samples, word_starts):
         self.sample_rate = float(sample_rate)
         self.bit_rate = float(bit_rate)
-        self.samples = np.asarray(samples, dtype=np.float64)
+        samples = np.asarray(samples)
+        if samples.dtype != np.float32:
+            samples = samples.astype(np.float64, copy=False)
+        self.samples = samples
         self.word_starts = np.asarray(word_starts, dtype=np.int64)
         if self.samples.ndim != 1:
             raise ValueError("samples must be one-dimensional")
@@ -394,7 +401,10 @@ def write_trace(trace: Trace, path, encoding: str = "f32le") -> None:
 
 
 def read_trace(path) -> Trace:
-    """Read a trace file written by `write_trace`."""
+    """Read a trace file written by `write_trace`.
+
+    An f32le body gives float32 samples, a CSV body float64 samples.
+    """
     raw = Path(path).read_bytes()
     newline = raw.find(b"\n")
     if newline < 0:
@@ -408,7 +418,7 @@ def read_trace(path) -> Trace:
     encoding = header["encoding"]
     body = raw[newline + 1 :]
     if encoding == "f32le":
-        samples = np.frombuffer(body, dtype="<f4").astype(np.float64)
+        samples = np.frombuffer(body, dtype="<f4").astype(np.float32)
     elif encoding == "csv":
         samples = np.array(
             [float(line.split(",")[1]) for line in body.decode("ascii").splitlines() if line],

@@ -31,22 +31,27 @@ candidate within the k-distance, ties included:
   every training point with one float32 matrix product. Each row proposes
   the points within its k-th smallest estimate plus twice a written rounding
   bound, which holds for any BLAS summation order, so no neighbour is lost;
-  a row float32 cannot carry proposes every point.
+  a row float32 cannot carry proposes every point. The k-th smallest
+  estimate is taken from the few columns within an upper bound on it, the
+  k-th smallest of 16-column group minima, not from a partition of the row.
 
 Both screens list each row's candidates by ascending training index, so the
 density and score sums add up in the same order and the two paths agree to
 the bit.
 
 The tree queries run on ``parallel.WORKERS`` threads (scipy's ``workers``),
-which give the same output to the bit for any count. The dense screen stays
-on the calling thread, for the reason given in ``_dense_pairs``.
+and the dense screen splits its query rows into as many contiguous blocks
+with ``parallel.map_rows``; both give the same output to the bit for any
+count.
 
 Neighbourhoods are flat (row, training index, distance) lists, one entry per
 neighbour: about k per point, more where ties widen a neighbourhood, so a
 cluster of c duplicates costs about c^2 entries. Per-row sums over the lists
-use ``np.bincount``. The dense screen holds a float32 block and its
-partitioned copy, 16 MB together, and a fitted model keeps only its own
-arrays. The test suite checks the tracemalloc peak of a fit on 47 000 x 4
+use ``np.bincount``. The dense screen's float32 estimates, on all threads
+together, hold at most 8 MB, which leaves as much again of
+``_CHUNK_ELEMENTS`` for their masks, group minima and candidate lists, and
+a fitted model keeps only its own arrays.
+The test suite checks the tracemalloc peak of a fit on 47 000 x 4
 points (tree path) against 160 MB, on 10 000 x 20 points (dense path)
 against 512 MB and on 20 000 x 4 points with 1000 duplicates against 250 MB,
 that a fit on 4800 x 20 points peaks at no more than half the former cdist
@@ -69,9 +74,13 @@ DEFAULT_CONTAMINATION = 0.10
 # Stand-in density for duplicate collapse; ratios of sentinels are exactly 1.
 _DUPLICATE_LRD = 1.0e12
 
-# Cap on float32 estimates held at once by the dense screen, its block and
-# the block's partitioned copy together.
+# Cap on float32 entries held at once by the dense screen, across all
+# threads: their blocks of estimates, with room for as many again.
 _CHUNK_ELEMENTS = 2**22
+
+# Columns per group in the dense screen's bound on each row's k-th smallest
+# estimate (see ``_tau_bound``).
+_GROUP_SIZE = 16
 
 # float32's unit roundoff, and the largest W = (|q| + max |t|)^2 whose
 # estimates cannot overflow float32 (see ``_dense_pairs``).
@@ -138,18 +147,26 @@ def _select(queries, train, k, rows, cols, self_cols):
     np.sqrt(dist, out=dist)
     if self_cols is not None:
         dist[cols == self_cols[rows]] = np.inf
-    # each row's k-th smallest distance, from the rows padded with inf
-    counts = np.bincount(rows, minlength=len(queries))
-    pos = np.arange(len(rows))
-    pos -= (np.cumsum(counts) - counts)[rows]
-    padded = np.full((len(queries), counts.max()), np.inf)
-    padded[rows, pos] = dist
-    del pos
-    padded.partition(k - 1, axis=1)
-    kd = padded[:, k - 1].copy()
-    del padded
+    kd = _kth_smallest(rows, dist, len(queries), k)
     keep = dist <= kd[rows]
     return kd, rows[keep], cols[keep], dist[keep]
+
+
+def _kth_smallest(rows, values, m, k):
+    """Each of the m rows' k-th smallest entry of ``values``.
+
+    ``values[j]`` belongs to row ``rows[j]``; entries are ordered by row and
+    every row has at least k of them. The rows are padded with inf to one
+    width and partitioned.
+    """
+    counts = np.bincount(rows, minlength=m)
+    pos = np.arange(len(rows))
+    pos -= (np.cumsum(counts) - counts)[rows]
+    padded = np.full((m, counts.max()), np.inf, dtype=values.dtype)
+    padded[rows, pos] = values
+    del pos
+    padded.partition(k - 1, axis=1)
+    return padded[:, k - 1].copy()
 
 
 def _round_up_f32(x):
@@ -188,27 +205,48 @@ def _dense_pairs(queries, train, k, self_cols):
     - tau + 2 delta is summed in float64 and rounded up to float32, so the
       float32 comparison never rounds the bound down.
 
+    tau is found without partitioning the whole row. ``_tau_bound`` gives an
+    upper bound tau' >= tau, the k-th smallest of the row's column-group
+    minima. The row first keeps every column with e at most tau' + 2 delta,
+    rounded up alike; that includes every column at or below tau, so the
+    k-th smallest estimate among the kept columns is tau itself, to the bit.
+    The kept columns are then cut to tau + 2 delta: the same columns as a
+    full partition would give.
+
     A row whose W passes a quarter of float32's largest value could overflow
     (non-finite inputs included), so it keeps its full row.
 
-    The float32 block and its partitioned copy together hold at most
-    ``_CHUNK_ELEMENTS`` entries, and the block is freed before the exact
-    pass. The blocks run one after another on the calling thread; splitting
-    them across cores waits until the ``monitor-tx-raw`` benchmark stops
-    counting its rounds in its peak RSS (ROADMAP, item 1).
+    The query rows are cut into ``parallel.WORKERS`` contiguous blocks, one
+    per thread, which give the same output to the bit for any count. Each
+    thread screens its block a chunk of rows at a time, and the float32
+    estimates of all threads' chunks, with room for as many again, come to
+    at most ``_CHUNK_ELEMENTS`` entries; a chunk's estimates are freed
+    before the exact pass.
     """
-    d = train.shape[1]
-    gamma = (d + 8) * _U32 / (1.0 - (d + 8) * _U32)
     train_sq = np.einsum("ij,ij->i", train, train)
-    reach = np.sqrt(train_sq.max())
     with np.errstate(over="ignore"):
         train32 = train.astype(np.float32)
         train_sq32 = train_sq.astype(np.float32)
+    screen = (train, train32, train_sq32, np.sqrt(train_sq.max()))
+    return parallel.map_rows(_dense_block, np.arange(len(queries)), queries, k, self_cols, screen)
+
+
+def _dense_block(index, queries, k, self_cols, screen):
+    """``_dense_pairs`` for the query rows ``index``, numbered as in ``queries``.
+
+    ``screen`` is the training matrix, its float32 copy, its float32 squared
+    norms and its largest norm. This runs on the pool's threads, so it must
+    not submit to the pool.
+    """
+    train, train32, train_sq32, reach = screen
+    n, d = train.shape
+    gamma = (d + 8) * _U32 / (1.0 - (d + 8) * _U32)
     found = []
-    chunk = max(1, _CHUNK_ELEMENTS // (2 * len(train)))
-    for lo in range(0, len(queries), chunk):
-        q = queries[lo : lo + chunk]
-        own = None if self_cols is None else self_cols[lo : lo + chunk]
+    chunk = max(1, _CHUNK_ELEMENTS // (2 * n * parallel.WORKERS))
+    for lo in range(0, len(index), chunk):
+        part = index[lo : lo + chunk]
+        q = queries[part]
+        own = None if self_cols is None else self_cols[part]
         q_sq = np.einsum("ij,ij->i", q, q)
         w = (np.sqrt(q_sq) + reach) ** 2
         with np.errstate(over="ignore", invalid="ignore"):
@@ -218,16 +256,45 @@ def _dense_pairs(queries, train, k, self_cols):
             est += train_sq32
         if own is not None:
             est[np.arange(len(q)), own] = np.inf
-        tau = np.partition(est, k - 1, axis=1)[:, k - 1].astype(np.float64)
-        bound = _round_up_f32(tau + 2.0 * (gamma * w + d * 2.0**-120))
-        cand = est <= bound[:, None]
-        del est
-        cand[~(w <= _F32_LIMIT)] = True
-        rows, cols = np.divmod(np.flatnonzero(cand), len(train))
+        slack = 2.0 * (gamma * w + d * 2.0**-120)
+        full = ~(w <= _F32_LIMIT)
+        cand = est <= _round_up_f32(_tau_bound(est, k) + slack)[:, None]
+        cand[full] = True
+        flat = np.flatnonzero(cand)
         del cand
-        kd, rows, cols, dist = _select(q, train, k, rows, cols, own)
-        found.append((kd, rows + lo, cols, dist))
-    return [np.concatenate(parts) for parts in zip(*found)]
+        e = est.ravel()[flat]
+        del est
+        rows, cols = np.divmod(flat, n)
+        del flat
+        tau = _kth_smallest(rows, e, len(q), k)
+        keep = (e <= _round_up_f32(tau + slack)[rows]) | full[rows]
+        del e
+        kd, rows, cols, dist = _select(q, train, k, rows[keep], cols[keep], own)
+        found.append((kd, part[rows], cols, dist))
+    return tuple(np.concatenate(parts) for parts in zip(*found))
+
+
+def _tau_bound(est, k):
+    """An upper bound on each row's k-th smallest estimate.
+
+    It is the k-th smallest of the row's column-group minima. With
+    g = n // 16, group j holds columns j, j + g, ..., j + 15 g, and each of
+    the last n - 16 g columns is a group of its own. The k groups whose
+    minima are at or below the bound hold k distinct columns at or below it,
+    so the k-th smallest estimate is too. With fewer than k groups of 16
+    (n < 16 k), every column is a group of its own and the bound is the k-th
+    smallest estimate itself.
+    """
+    m, n = est.shape
+    g = n // _GROUP_SIZE
+    if g < k:
+        g = 0
+    s = _GROUP_SIZE * g
+    mins = np.empty((m, g + n - s), dtype=est.dtype)
+    est[:, :s].reshape(m, _GROUP_SIZE, g).min(axis=1, out=mins[:, :g])
+    mins[:, g:] = est[:, s:]
+    mins.partition(k - 1, axis=1)
+    return mins[:, k - 1].copy()
 
 
 def _tree_pairs(queries, train, k, self_cols, tree):

@@ -1,13 +1,16 @@
 """Row-split parallelism for the kernels that release the GIL.
 
 ``WORKERS`` is the number of cores this process may run on. A kernel whose
-every output row depends on its own input row alone can be cut into
+every output depends on its own input rows alone can be cut into
 ``WORKERS`` contiguous row blocks with ``map_rows``: the calling thread
-computes the first block, one shared thread pool the others, and the blocks
-are joined in row order, so the result is the same to the bit for any
-worker count. The pool is created on first use, never at import, and never
-with one worker. Only private kernels run on it; the public functions,
-which a traced run wraps in spans, stay on the calling thread.
+computes the first block, one shared thread pool the others, and the
+blocks' outputs (one array, or a tuple of arrays such as flat neighbour
+lists) are joined in row order, so the result is the same to the bit for
+any worker count. The pool is created on first use, never at import, and
+never with one worker. Only private kernels run on it, and they never
+submit to it themselves: a block that waited on the pool from a pool thread
+could hold the thread its own work needs. The public functions, which a
+traced run wraps in spans, stay on the calling thread.
 """
 
 from __future__ import annotations
@@ -41,12 +44,14 @@ def _pool() -> ThreadPoolExecutor:
         return _POOL
 
 
-def map_rows(kernel, x: np.ndarray, *args) -> np.ndarray:
+def map_rows(kernel, x: np.ndarray, *args):
     """``kernel(x, *args)``, computed in ``WORKERS`` contiguous row blocks.
 
-    Row i of the result must depend on row i of ``x`` alone. With one
-    worker, or fewer rows than workers, this is one plain call on the
-    calling thread. A block's exception is raised here.
+    The kernel returns an array or a tuple of arrays. Each block's outputs
+    must depend on its own rows of ``x`` alone; they are concatenated with
+    the other blocks' in row order. With one worker, or fewer rows than
+    workers, this is one plain call on the calling thread. A block's
+    exception is raised here.
     """
     workers = WORKERS
     if workers == 1 or len(x) < workers:
@@ -58,4 +63,6 @@ def map_rows(kernel, x: np.ndarray, *args) -> np.ndarray:
     finally:
         # every block has finished, and its exception is raised, before this returns
         tails = [future.result() for future in futures]
+    if isinstance(head, tuple):
+        return tuple(np.concatenate(parts) for parts in zip(head, *tails))
     return np.concatenate([head, *tails])

@@ -96,11 +96,14 @@ def _crossings(x: np.ndarray, th: Thresholds):
 
     A crossing fires on the first sample strictly beyond the threshold when
     the previous sample was not (strict on the new sample, no interpolation).
+    Samples are compared with the thresholds in float64, float32 samples
+    too: a Python float against a float32 array would be rounded to float32.
     """
     prev, cur = x[:-1], x[1:]
     idx_parts, code_parts = [], []
-    rises = ((_R_NEG_H2, -th.v_h2), (_R_NEG_L1, -th.v_l1), (_R_L2, th.v_l2), (_R_H1, th.v_h1))
-    falls = ((_F_H2, th.v_h2), (_F_L1, th.v_l1), (_F_NEG_L2, -th.v_l2), (_F_NEG_H1, -th.v_h1))
+    v_l1, v_l2, v_h1, v_h2 = np.float64([th.v_l1, th.v_l2, th.v_h1, th.v_h2])
+    rises = ((_R_NEG_H2, -v_h2), (_R_NEG_L1, -v_l1), (_R_L2, v_l2), (_R_H1, v_h1))
+    falls = ((_F_H2, v_h2), (_F_L1, v_l1), (_F_NEG_L2, -v_l2), (_F_NEG_H1, -v_h1))
     for code, thr in rises:
         hits = np.nonzero((cur > thr) & (prev <= thr))[0] + 1
         idx_parts.append(hits)
@@ -158,8 +161,8 @@ class SegmentTable(Sequence):
     type code (an index into ``SEGMENT_TYPES``), the absolute start sample
     and the sample count of every segment, in word order. The table is a
     sequence of words: ``table[i]`` builds word i's ``list[Segment]`` with
-    copied samples and start indices relative to the word start, and a
-    slice is a table over the same samples. Read flat, row-major, the
+    samples copied as float64 and start indices relative to the word start,
+    and a slice is a table over the same samples. Read flat, row-major, the
     columns are the segments of all words in order, which is how
     ``features.extract_batch`` takes a table.
     """
@@ -182,7 +185,10 @@ class SegmentTable(Sequence):
         wi = range(len(self))[key]  # IndexError past either end
         origin = int(self.word_starts[wi])
         return [
-            Segment(SEGMENT_TYPES[code], self.samples[start : start + n].copy(), start - origin)
+            Segment(
+                SEGMENT_TYPES[code], self.samples[start : start + n].astype(np.float64),
+                start - origin,
+            )
             for code, start, n in zip(
                 self.types[wi].tolist(), self.starts[wi].tolist(), self.lengths[wi].tolist()
             )

@@ -5,6 +5,8 @@ import pytest
 
 from a429ids import bus
 from a429ids.bus import ReceiverLoad, TransmitterProfile
+from a429ids.cli import main
+from a429ids.segmentation import Thresholds
 from a429ids.words import DEFAULT_WORD_SET, WORD_BITS, to_bits_msb_first
 
 SPB = bus.DEFAULT_SAMPLES_PER_BIT
@@ -204,6 +206,18 @@ def test_trace_io_roundtrip(tmp_path, encoding):
         assert np.array_equal(back.samples, trace.samples)
     else:
         assert np.allclose(back.samples, trace.samples, atol=1e-5)
+        # a capture is held as it was stored: 4 bytes a sample
+        assert back.samples.dtype == np.float32
+        assert back.samples.nbytes == 4 * len(trace.samples)
+        assert np.array_equal(back.samples, trace.samples.astype(np.float32))
+        bus.write_trace(back, path)
+        assert bus.read_trace(path).samples.tobytes() == back.samples.tobytes()
+
+
+def test_trace_keeps_float32_and_widens_the_rest():
+    assert bus.Trace(5e6, 1e5, np.zeros(10, dtype=np.float32), [0]).samples.dtype == np.float32
+    for samples in (np.zeros(10, dtype=np.float16), np.zeros(10, dtype=np.int64), [0.0] * 10):
+        assert bus.Trace(5e6, 1e5, samples, [0]).samples.dtype == np.float64
 
 
 def test_trace_io_rejects_garbage(tmp_path):
@@ -441,3 +455,52 @@ def test_synthesis_memory_stays_near_the_trace():
     finally:
         tracemalloc.stop()
     assert peak <= 3.5 * trace.samples.nbytes
+
+
+def _plant_at_rises(samples, threshold):
+    """Set the first sample past each rising crossing of ``threshold`` to
+    float32(threshold), which lies above it in float64; returns the count.
+    A float32 comparison would not see those crossings until one sample
+    later."""
+    planted = np.float32(threshold)
+    assert float(planted) > threshold
+    x = samples.astype(np.float64)
+    hits = np.nonzero((x[1:] > threshold) & (x[:-1] <= threshold))[0] + 1
+    samples[hits] = planted
+    return len(hits)
+
+
+def test_f32_capture_gives_the_outputs_of_its_float64_samples(tmp_path):
+    """``segment``, ``features`` and ``run`` write the same bytes for an f32le
+    capture (float32 samples) as for a CSV file of the same values (float64
+    samples), crossings of samples equal to a rounded-up threshold included."""
+    tx = TransmitterProfile()
+    train = bus.synthesize_stream(tx, [ReceiverLoad()], list(DEFAULT_WORD_SET) * 5, seed=3)
+    bus.write_trace(train, tmp_path / "train.bin")
+    assert main([
+        "train", "--trace", str(tmp_path / "train.bin"), "--feature-set", "raw",
+        "--out", str(tmp_path / "model.npz"),
+    ]) == 0
+    capture = bus.synthesize_stream(tx, [ReceiverLoad()], list(DEFAULT_WORD_SET) * 2, seed=4)
+    samples = capture.samples.astype(np.float32)
+    assert _plant_at_rises(samples, -Thresholds().v_h2) > 0
+    capture = bus.Trace(capture.sample_rate, capture.bit_rate, samples, capture.word_starts)
+    for encoding in ("f32le", "csv"):
+        bus.write_trace(capture, tmp_path / f"capture.{encoding}", encoding=encoding)
+    assert bus.read_trace(tmp_path / "capture.f32le").samples.dtype == np.float32
+    assert bus.read_trace(tmp_path / "capture.csv").samples.dtype == np.float64
+
+    commands = {
+        "segments": ["segment"],
+        "raw": ["features", "--feature-set", "raw"],
+        "generic": ["features", "--feature-set", "generic"],
+        "run": ["run", "--model", str(tmp_path / "model.npz")],
+    }
+    for name, command in commands.items():
+        outputs = []
+        for encoding in ("f32le", "csv"):
+            out = tmp_path / f"{name}-{encoding}.csv"
+            trace = str(tmp_path / f"capture.{encoding}")
+            assert main([*command, "--trace", trace, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1], name

@@ -90,6 +90,23 @@ def _raw_like():
     return (x - x.mean(axis=0)) / x.std(axis=0)
 
 
+def _group_cluster(k):
+    """A cluster of k + 5 near points on as few column groups as hold them.
+
+    The groups are lof._tau_bound's: columns j, j + g, ..., j + 15 g for
+    g = n // 16. A cluster point sees its near neighbours in one or two
+    group minima only, so the bound on its k-th smallest estimate lies out
+    among the far points. n is not a multiple of 16.
+    """
+    n = 16 * 37 + 9
+    g = n // lof._GROUP_SIZE
+    x = np.random.default_rng(51).normal(size=(n, 20)) * 4.0
+    i = np.arange(k + 5)
+    cols = 5 + g * (i % lof._GROUP_SIZE) + i // lof._GROUP_SIZE
+    x[cols] = 0.01 * np.random.default_rng(52).normal(size=(k + 5, 20))
+    return x
+
+
 _DATA = {
     "random": lambda: np.random.default_rng(47).normal(size=(700, 20)),
     "raw-like": _raw_like,
@@ -101,6 +118,11 @@ _DATA = {
     "mixed overflow": _mixed_overflow,
     "swamped": _swamped,
     "offset": _offset,
+    # the screen's group bound, on either side of n = 16 k and with n % 16 > 0
+    "groups, n % 16 = 7": lambda: np.random.default_rng(53).normal(size=(16 * 41 + 7, 20)),
+    "groups, n = 16 k": lambda: np.random.default_rng(54).normal(size=(16 * K, 20)),
+    "no groups, n = 16 k - 1": lambda: np.random.default_rng(55).normal(size=(16 * K - 1, 20)),
+    "group cluster": lambda: _group_cluster(K),
 }
 
 
@@ -134,17 +156,43 @@ def test_screen_matches_on_a_small_k():
     assert len(got[1]) == 43 and got[0][0] == 1.0
 
 
-def test_fit_and_score_match_the_cdist_blocks(monkeypatch):
-    x = _raw_like()
-    q = _queries(x) * 1.5
+def test_group_bound_is_loose_on_a_cluster_in_one_group():
+    """k + 5 = 16 near points fill one column group: their group bound lies
+    among the far points, yet the screen finds the exact k-th estimate."""
+    k = 11
+    x = _group_cluster(k)
+    est = (cdist(x, x) ** 2).astype(np.float32)
+    np.fill_diagonal(est, np.inf)
+    bound = lof._tau_bound(est, k)
+    exact = np.partition(est, k - 1, axis=1)[:, k - 1]
+    assert np.all(bound >= exact)
+    near = np.flatnonzero(np.abs(x).max(axis=1) < 1.0)
+    assert len(near) == k + 5 and len(np.unique(near % (len(x) // lof._GROUP_SIZE))) == 1
+    assert np.all(bound[near] > 100.0 * exact[near])
+    self_cols = np.arange(len(x))
+    _assert_same(lof._dense_pairs(x, x, k, self_cols), _cdist_pairs(x, x, k, self_cols))
+    q = np.vstack([x[near] + 1e-3, _queries(x)])
+    _assert_same(lof._dense_pairs(q, x, k, None), _cdist_pairs(q, x, k, None))
+
+
+def _fit_and_score(x, q):
     model = lof.fit(x, k=K)
     assert model.tree is None
-    monkeypatch.setattr(lof, "_dense_pairs", _cdist_pairs)
-    ref = lof.fit(x, k=K)
-    for name in lof.RECORD_FIELDS[2:]:
-        assert np.array_equal(getattr(model, name), getattr(ref, name))
-    assert model.threshold == ref.threshold
-    assert np.array_equal(lof.score(model, q), lof.score(ref, q))
+    return model, lof.score(model, q)
+
+
+def test_fit_and_score_match_the_cdist_blocks(monkeypatch):
+    for name in ("raw-like", "groups, n % 16 = 7", "no groups, n = 16 k - 1", "group cluster"):
+        x = _DATA[name]()
+        q = _queries(x) * 1.5
+        model, scores = _fit_and_score(x, q)
+        with monkeypatch.context() as patch:
+            patch.setattr(lof, "_dense_pairs", _cdist_pairs)
+            ref, ref_scores = _fit_and_score(x, q)
+        for field_name in lof.RECORD_FIELDS[2:]:
+            assert np.array_equal(getattr(model, field_name), getattr(ref, field_name)), name
+        assert model.threshold == ref.threshold, name
+        assert scores.tobytes() == ref_scores.tobytes(), name
 
 
 def test_screen_fit_peaks_at_half_the_cdist_blocks(monkeypatch):

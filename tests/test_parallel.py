@@ -143,6 +143,45 @@ def test_outputs_do_not_depend_on_workers(inputs, one_worker_outputs, monkeypatc
     assert bool(splits) == (workers > 1)
 
 
+def _raw_outputs(inputs, out):
+    """Bytes of a raw-feature detector bundle and its run CSV: LOF's dense
+    screen, in training and in scoring."""
+    out.mkdir()
+    assert main([
+        "train", "--trace", str(inputs / "train.bin"), "--feature-set", "raw",
+        "--out", str(out / "model.npz"),
+    ]) == 0
+    assert main([
+        "run", "--model", str(out / "model.npz"), "--trace", str(inputs / "rogue.bin"),
+        "--t-suspicion", "5", "--out", str(out / "run.csv"),
+    ]) == 0
+    return {name: (out / name).read_bytes() for name in ("model.npz", "run.csv")}
+
+
+@pytest.fixture(scope="module")
+def one_worker_raw_outputs(inputs):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(parallel, "WORKERS", 1)
+        return _raw_outputs(inputs, inputs / "raw-workers-1")
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_raw_outputs_do_not_depend_on_workers(
+    inputs, one_worker_raw_outputs, monkeypatch, workers
+):
+    """The dense screen's row split. The pool is used only with more than
+    one worker, and only from the calling thread: a block never submits."""
+    callers = []
+    real_pool = parallel._pool
+    monkeypatch.setattr(
+        parallel, "_pool", lambda: callers.append(threading.get_ident()) or real_pool()
+    )
+    monkeypatch.setattr(parallel, "WORKERS", workers)
+    got = _raw_outputs(inputs, inputs / f"raw-{workers}")
+    assert got == one_worker_raw_outputs
+    assert set(callers) == (set() if workers == 1 else {threading.get_ident()})
+
+
 def test_public_functions_stay_on_the_calling_thread(inputs, monkeypatch):
     """Only private kernels run on the pool: a traced run keeps one span
     stack, so every public function is called from the calling thread."""

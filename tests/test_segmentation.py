@@ -4,12 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from a429ids import bus, segmentation
+from a429ids import bus, features, segmentation
 from a429ids.bus import ReceiverLoad, TransmitterProfile
 from a429ids.segmentation import MalformedSignal, SegmentType, Thresholds, census
 from a429ids.words import DEFAULT_WORD_SET
 
 from oracles import expected_segment_type_names
+from test_bus import _plant_at_rises
 
 
 def test_all_ones_census(clean_segment_bank):
@@ -231,3 +232,38 @@ def test_table_memory_per_segment():
         tracemalloc.stop()
     assert len(table) == 500
     assert held / (500 * 127) < 32
+
+
+@pytest.mark.parametrize("thresholds", [Thresholds(), Thresholds(v_h1=8.1)])
+def test_float32_samples_segment_as_their_float64_values(thresholds):
+    """A float32 trace gives the table, segments and features of the same
+    values held as float64. Thresholds are compared in float64, so a sample
+    equal to float32(v_h1) = 8.1000004 crosses v_h1 = 8.1 where it lies."""
+    values = [DEFAULT_WORD_SET[i % 6] for i in range(24)]
+    full = bus.synthesize_stream(TransmitterProfile(), [ReceiverLoad()], values, seed=12)
+    samples = full.samples.astype(np.float32)
+    planted = thresholds.v_h1 != float(np.float32(thresholds.v_h1))
+    if planted:
+        assert _plant_at_rises(samples, thresholds.v_h1) > 0
+    narrow = bus.Trace(full.sample_rate, full.bit_rate, samples, full.word_starts)
+    wide = bus.Trace(full.sample_rate, full.bit_rate, samples.astype(np.float64), full.word_starts)
+    assert narrow.samples.dtype == np.float32 and wide.samples.dtype == np.float64
+    got = segmentation.segment_stream(narrow, thresholds)
+    want = segmentation.segment_stream(wide, thresholds)
+    for name in ("word_starts", "types", "starts", "lengths"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    if planted:
+        # each planted sample opens a HI plateau: the crossing fires on it
+        hits = np.flatnonzero(samples == np.float32(thresholds.v_h1))
+        hi_starts = got.starts[got.types == segmentation.TYPE_CODES[SegmentType.HI]]
+        assert np.isin(hits, hi_starts).all()
+    for wi in range(len(got)):
+        _same_words(got[wi], want[wi])  # float64 samples, equal bytes
+    for set_id in features.FeatureSet:
+        a = features.extract_batch(set_id, got, dt=1.0 / full.sample_rate)
+        b = features.extract_batch(set_id, want, dt=1.0 / full.sample_rate)
+        assert a.keys() == b.keys()
+        for key in a:
+            assert np.array_equal(a[key][0], b[key][0])
+            assert a[key][1].dtype == b[key][1].dtype == np.float64
+            assert a[key][1].tobytes() == b[key][1].tobytes()
