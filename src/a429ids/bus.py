@@ -416,16 +416,18 @@ def read_trace(path) -> Trace:
     if not isinstance(header, dict) or set(header) != _TRACE_HEADER_KEYS:
         raise ValueError(f"{path}: trace header must have keys {sorted(_TRACE_HEADER_KEYS)}")
     encoding = header["encoding"]
-    body = raw[newline + 1 :]
     if encoding == "f32le":
-        samples = np.frombuffer(body, dtype="<f4").astype(np.float32)
+        # decoded from the file's bytes in place: no copy of the body
+        samples = np.frombuffer(raw, dtype="<f4", offset=newline + 1).astype(np.float32)
     elif encoding == "csv":
+        body = raw[newline + 1 :].decode("ascii")
         samples = np.array(
-            [float(line.split(",")[1]) for line in body.decode("ascii").splitlines() if line],
+            [float(line.split(",")[1]) for line in body.splitlines() if line],
             dtype=np.float64,
         )
     else:
         raise ValueError(f"{path}: unknown trace encoding {encoding!r}")
+    del raw  # freed before the trace's own checks allocate
     if len(samples) != int(header["sample_count"]):
         raise ValueError(
             f"{path}: body has {len(samples)} samples, header says {header['sample_count']}"

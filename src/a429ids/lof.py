@@ -18,14 +18,21 @@ zero.
 Fit and scoring share one exact neighbour search. Two screens propose
 candidates, chosen by the dimension alone, and one routine, ``_select``,
 recomputes the candidates' distances with cdist's arithmetic and keeps every
-candidate within the k-distance, ties included:
+candidate within the k-distance, ties included. The dense screen proposes
+flat candidate lists, the tree a fixed-width matrix, whose k-distances come
+from one partition along its rows:
 
 - Up to ``_TREE_MAX_DIM`` (12) dimensions - every polynomial, generic and
   handcrafted type and the raw transitions - a k-d tree over the training
   matrix, built once per model, proposes the k nearest points plus
-  ``_TREE_EXTRA`` spare candidates. When a row's farthest candidate ties its
-  k-distance, more ties may lie beyond it (duplicates, lattices), so that
-  row alone is searched again by the dense screen below.
+  ``_TREE_EXTRA`` (one) spare candidate. By the tree's distances, every
+  point outside the candidates lies at least as far as the spare, so when
+  the spare lies beyond the k-distance (by more than ``_TIE_SLACK``, which
+  covers the tree's rounding) the row has all its neighbours. When it ties
+  the k-distance, more ties may lie beyond it (duplicates, lattices), so
+  that row alone is searched again by the dense screen below. More spares
+  would spare some of those rows the screen, but widen every row's query
+  and select.
 - Above the cut - raw plateaus and nulls, 20 and 17 dimensions, where the
   tree is slower - blocks of query rows estimate their squared distances to
   every training point with one float32 matrix product. Each row proposes
@@ -39,10 +46,12 @@ Both screens list each row's candidates by ascending training index, so the
 density and score sums add up in the same order and the two paths agree to
 the bit.
 
-The tree queries run on ``parallel.WORKERS`` threads (scipy's ``workers``),
-and the dense screen splits its query rows into as many contiguous blocks
-with ``parallel.map_rows``; both give the same output to the bit for any
-count.
+Both paths cut their query rows into ``parallel.WORKERS`` contiguous blocks
+with ``parallel.map_rows``, which is LOF's only parallel mechanism: the
+tree's queries run one thread each (scipy's ``workers`` is not used). A
+tree block queries, selects and redoes its own tie rows through the
+screen's serial entry, ``_screen_rows``, so no block submits to the pool.
+Both give the same output to the bit for any count.
 
 Neighbourhoods are flat (row, training index, distance) lists, one entry per
 neighbour: about k per point, more where ties widen a neighbourhood, so a
@@ -90,8 +99,12 @@ _F32_LIMIT = float(np.finfo(np.float32).max) / 4.0
 # Highest dimension served by the k-d tree; above it the dense path is faster.
 _TREE_MAX_DIM = 12
 
-# Tree candidates beyond the k nearest, so that ties rarely need a dense search.
-_TREE_EXTRA = 8
+# Training points per k-d tree leaf: 32 queried faster than scipy's default
+# 16, both at 500 and at 4920 words per device.
+_LEAF_SIZE = 32
+
+# Tree candidates beyond the k nearest: one shows whether the k-distance is tied.
+_TREE_EXTRA = 1
 
 # Relative slack between the tree's distances and the recomputed ones.
 _TIE_SLACK = 1.0e-9
@@ -125,31 +138,37 @@ class LofModel:
 
 
 def _build_tree(train):
-    return cKDTree(train) if train.shape[1] <= _TREE_MAX_DIM else None
+    return cKDTree(train, leafsize=_LEAF_SIZE) if train.shape[1] <= _TREE_MAX_DIM else None
 
 
 def _select(queries, train, k, rows, cols, self_cols):
-    """(kdist, row, col, dist) of the neighbours among flat candidates.
+    """(kdist, row, col, dist) of the neighbours among the candidates.
 
-    Query row ``rows[j]`` proposes training point ``cols[j]``. Entries are
-    ordered by row, then by ascending training index, and every row proposes
+    Query row ``rows[j]`` proposes training point ``cols[j]``, in one of two
+    layouts: flat lists, ordered by row, or a matrix with one row of ``cols``
+    per query row and ``rows`` a column of row numbers, broadcast across it.
+    Each row lists its candidates by ascending training index and proposes
     all of its neighbours, so at least k points besides itself. Squared
     differences are summed one dimension at a time, the order cdist uses, so
     the distances equal cdist's to the bit (checked against scipy 1.17.1 at 1
-    to 24 dimensions). Each row keeps every candidate within its k-distance.
+    to 24 dimensions). Each row keeps every candidate within its k-distance;
+    the entries come out flat, ordered by row and training index.
     """
-    dist = np.zeros(len(rows))
+    dist = np.zeros(cols.shape)
     for j in range(train.shape[1]):
-        diff = queries[rows, j]
-        diff -= train[cols, j]
+        diff = train[cols, j]
+        np.subtract(queries[rows, j], diff, out=diff)
         diff *= diff
         dist += diff
     np.sqrt(dist, out=dist)
     if self_cols is not None:
         dist[cols == self_cols[rows]] = np.inf
-    kd = _kth_smallest(rows, dist, len(queries), k)
+    if dist.ndim == 2:
+        kd = np.partition(dist, k - 1, axis=1)[:, k - 1].copy()
+    else:
+        kd = _kth_smallest(rows, dist, len(queries), k)
     keep = dist <= kd[rows]
-    return kd, rows[keep], cols[keep], dist[keep]
+    return kd, np.broadcast_to(rows, cols.shape)[keep], cols[keep], dist[keep]
 
 
 def _kth_smallest(rows, values, m, k):
@@ -223,12 +242,23 @@ def _dense_pairs(queries, train, k, self_cols):
     at most ``_CHUNK_ELEMENTS`` entries; a chunk's estimates are freed
     before the exact pass.
     """
+    return parallel.map_rows(
+        _dense_block, np.arange(len(queries)), queries, k, self_cols, _screen(train)
+    )
+
+
+def _screen_rows(queries, train, k, self_cols):
+    """``_dense_pairs`` on the calling thread alone, for the tree's tie rows."""
+    return _dense_block(np.arange(len(queries)), queries, k, self_cols, _screen(train))
+
+
+def _screen(train):
+    """The training matrix, its float32 copy and squared norms, its largest norm."""
     train_sq = np.einsum("ij,ij->i", train, train)
     with np.errstate(over="ignore"):
         train32 = train.astype(np.float32)
         train_sq32 = train_sq.astype(np.float32)
-    screen = (train, train32, train_sq32, np.sqrt(train_sq.max()))
-    return parallel.map_rows(_dense_block, np.arange(len(queries)), queries, k, self_cols, screen)
+    return train, train32, train_sq32, np.sqrt(train_sq.max())
 
 
 def _dense_block(index, queries, k, self_cols, screen):
@@ -298,38 +328,52 @@ def _tau_bound(est, k):
 
 
 def _tree_pairs(queries, train, k, self_cols, tree):
-    """(kdist, row, col, dist) of every neighbour from k-d tree candidates."""
+    """(kdist, row, col, dist) of every neighbour from k-d tree candidates.
+
+    The query rows are cut into ``parallel.WORKERS`` contiguous blocks, and
+    each block finds its own neighbours with ``_tree_block``.
+    """
+    return parallel.map_rows(
+        _tree_block, np.arange(len(queries)), queries, train, k, self_cols, tree
+    )
+
+
+def _tree_block(index, queries, train, k, self_cols, tree):
+    """``_tree_pairs`` for the query rows ``index``, numbered as in ``queries``.
+
+    The block queries the tree, selects the neighbours among the candidates
+    and redoes its own tie rows through ``_screen_rows``, all on the thread
+    it runs on: it never submits to the pool.
+    """
     n = len(train)
-    width = min(n, k + _TREE_EXTRA + int(self_cols is not None))
-    cand_dist, cand = tree.query(queries, k=width, workers=parallel.WORKERS)
+    q = queries[index]
+    own = None if self_cols is None else self_cols[index]
+    width = min(n, k + _TREE_EXTRA + int(own is not None))
+    cand_dist, cand = tree.query(q, k=width)
     farthest = cand_dist[:, -1].copy()
     del cand_dist
     cand.sort(axis=1)
-    rows = np.repeat(np.arange(len(queries)), width)
-    kd, rows, cols, dist = _select(queries, train, k, rows, cand.ravel(), self_cols)
+    kd, rows, cols, dist = _select(q, train, k, np.arange(len(q))[:, None], cand, own)
+    del cand
     # a row whose farthest candidate ties its k-distance may have more ties
     # beyond the candidates: the screen searches it in full
     redo = np.empty(0, dtype=np.int64)
     if width < n:
         redo = np.flatnonzero(farthest <= kd * (1.0 + _TIE_SLACK))
-    if len(redo) == 0:
-        return kd, rows, cols, dist
-
-    keep = np.ones(len(queries), dtype=bool)
-    keep[redo] = False
-    keep = keep[rows]
-    r_kd, r_rows, r_cols, r_dist = _dense_pairs(
-        queries[redo], train, k, None if self_cols is None else self_cols[redo]
-    )
-    kd[redo] = r_kd
-    rows = np.concatenate([rows[keep], redo[r_rows]])
-    order = np.argsort(rows, kind="stable")
-    return (
-        kd,
-        rows[order],
-        np.concatenate([cols[keep], r_cols])[order],
-        np.concatenate([dist[keep], r_dist])[order],
-    )
+    if len(redo):
+        keep = np.ones(len(q), dtype=bool)
+        keep[redo] = False
+        keep = keep[rows]
+        r_kd, r_rows, r_cols, r_dist = _screen_rows(
+            q[redo], train, k, None if own is None else own[redo]
+        )
+        kd[redo] = r_kd
+        rows = np.concatenate([rows[keep], redo[r_rows]])
+        order = np.argsort(rows, kind="stable")
+        rows = rows[order]
+        cols = np.concatenate([cols[keep], r_cols])[order]
+        dist = np.concatenate([dist[keep], r_dist])[order]
+    return kd, index[rows], cols, dist
 
 
 def _neighbours(queries, train, k, tree=None, self_rows=False):

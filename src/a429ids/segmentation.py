@@ -11,7 +11,8 @@ null after the last pulse belongs to no word and is dropped, leaving
 `segment_stream` finds the crossings once over the whole trace and runs
 the state machine on plain ints, word by word, over the crossings inside
 each word's window. It returns a `SegmentTable`: three ``(n_words, 127)``
-arrays (type code, absolute start, length; 17 bytes a segment) over the
+arrays (type code, absolute start, length; 9 bytes a segment, the start
+and length held as int32 unless the trace reaches 2**31 samples) over the
 trace's own samples, which it does not copy. `segment_word` is the
 one-word case of the same loop, and the table builds a word's `Segment`
 objects, with copied samples, only when indexed.
@@ -158,8 +159,9 @@ class SegmentTable(Sequence):
     """Segmented words as columns over the trace's samples (not a copy).
 
     ``types``, ``starts`` and ``lengths`` are ``(n_words, 127)`` arrays: the
-    type code (an index into ``SEGMENT_TYPES``), the absolute start sample
-    and the sample count of every segment, in word order. The table is a
+    type code (an index into ``SEGMENT_TYPES``, int8), the absolute start
+    sample and the sample count of every segment (int32, or int64 for a
+    trace of 2**31 samples or more), in word order. The table is a
     sequence of words: ``table[i]`` builds word i's ``list[Segment]`` with
     samples copied as float64 and start indices relative to the word start,
     and a slice is a table over the same samples. Read flat, row-major, the
@@ -214,8 +216,9 @@ def _segment_words(samples, word_starts, window, idx, code, word_indices) -> Seg
     """
     n_words = len(word_starts)
     types = np.empty((n_words, SEGMENTS_PER_WORD), dtype=np.int8)
-    starts = np.empty((n_words, SEGMENTS_PER_WORD), dtype=np.int64)
-    ends = np.empty(n_words, dtype=np.int64)
+    index_type = np.int32 if len(samples) < 2**31 else np.int64
+    starts = np.empty((n_words, SEGMENTS_PER_WORD), dtype=index_type)
+    ends = np.empty(n_words, dtype=index_type)
     lo = np.searchsorted(idx, word_starts, side="right").tolist()
     hi = np.searchsorted(idx, word_starts + window, side="left").tolist()
     for wi, (word_start, word_index) in enumerate(zip(word_starts.tolist(), word_indices)):

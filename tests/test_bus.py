@@ -214,6 +214,22 @@ def test_trace_io_roundtrip(tmp_path, encoding):
         assert bus.read_trace(path).samples.tobytes() == back.samples.tobytes()
 
 
+def test_trace_read_memory_stays_near_the_file(tmp_path):
+    # the file's bytes and the decoded samples set the peak (2x the file);
+    # a copy of the body beside them made it 3x
+    values = [DEFAULT_WORD_SET[i % len(DEFAULT_WORD_SET)] for i in range(600)]
+    path = tmp_path / "trace.bin"
+    bus.write_trace(bus.synthesize_stream(TransmitterProfile(), [], values, seed=8), path)
+    tracemalloc.start()
+    try:
+        trace = bus.read_trace(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(trace.word_starts) == 600
+    assert peak <= 2.25 * path.stat().st_size
+
+
 def test_trace_keeps_float32_and_widens_the_rest():
     assert bus.Trace(5e6, 1e5, np.zeros(10, dtype=np.float32), [0]).samples.dtype == np.float32
     for samples in (np.zeros(10, dtype=np.float16), np.zeros(10, dtype=np.int64), [0.0] * 10):

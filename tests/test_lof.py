@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from a429ids import lof
+from a429ids import lof, parallel
 
 from oracles import brute_lof_fit, brute_lof_query
 
@@ -217,8 +217,10 @@ _PATH_DATA = {
 }
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("name", sorted(_PATH_DATA))
-def test_tree_and_dense_paths_agree_bitwise(name, monkeypatch):
+def test_tree_and_dense_paths_agree_bitwise(name, workers, monkeypatch):
+    monkeypatch.setattr(parallel, "WORKERS", workers)
     x = _PATH_DATA[name]()
     rng = np.random.default_rng(32)
     queries = np.vstack([x[::7], x[:40] + 0.5, rng.normal(size=(50, x.shape[1]))])
@@ -231,18 +233,18 @@ def test_tree_and_dense_paths_agree_bitwise(name, monkeypatch):
 
     z = tree_model.train
     zq = (queries - tree_model.mean) / tree_model.scale
-    dense_pairs = lof._dense_pairs
+    screen_rows = lof._screen_rows
     redo_rows = []
 
-    def counting_dense_pairs(q, *args):
+    def counting_screen_rows(q, *args):
         redo_rows.append(len(q))
-        return dense_pairs(q, *args)
+        return screen_rows(q, *args)
 
     for q, self_rows in ((z, True), (zq, False)):
         dense = lof._neighbours(q, z, 20, None, self_rows=self_rows)
-        monkeypatch.setattr(lof, "_dense_pairs", counting_dense_pairs)
+        monkeypatch.setattr(lof, "_screen_rows", counting_screen_rows)
         tree = lof._neighbours(q, z, 20, tree_model.tree, self_rows=self_rows)
-        monkeypatch.setattr(lof, "_dense_pairs", dense_pairs)
+        monkeypatch.setattr(lof, "_screen_rows", screen_rows)
         for got, want in zip(tree, dense):
             assert got.dtype == want.dtype and np.array_equal(got, want)
     # on tie-heavy data some rows' ties outnumber the tree's candidates

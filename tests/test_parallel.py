@@ -133,14 +133,18 @@ def one_worker_outputs(inputs):
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_outputs_do_not_depend_on_workers(inputs, one_worker_outputs, monkeypatch, workers):
-    splits = []
+    """The polynomial kernel's and the k-d tree blocks' row split. The pool
+    is used only with more than one worker, and only from the calling
+    thread: a tree block, tie redo included, never submits."""
+    callers = []
     real_pool = parallel._pool
-    monkeypatch.setattr(parallel, "_pool", lambda: splits.append(workers) or real_pool())
+    monkeypatch.setattr(
+        parallel, "_pool", lambda: callers.append(threading.get_ident()) or real_pool()
+    )
     monkeypatch.setattr(parallel, "WORKERS", workers)
     got = _cli_outputs(inputs, inputs / f"run-{workers}")
     assert got == one_worker_outputs
-    # the rows were split whenever there was more than one worker
-    assert bool(splits) == (workers > 1)
+    assert set(callers) == (set() if workers == 1 else {threading.get_ident()})
 
 
 def _raw_outputs(inputs, out):

@@ -218,8 +218,9 @@ def test_corrupted_middle_word_raises_as_segment_word():
 
 
 def test_table_memory_per_segment():
-    # the table holds a few small integers per segment beside the trace it
-    # references; a list of Segment objects with copied samples held 303 B
+    # the table holds an int8 type and an int32 start and length per segment
+    # (9 B) beside the trace it references; a list of Segment objects with
+    # copied samples held 303 B, and int64 starts and lengths 17 B
     values = [DEFAULT_WORD_SET[i % 6] for i in range(500)]
     trace = bus.synthesize_stream(TransmitterProfile(), [ReceiverLoad()], values, seed=5)
     # one small run first, so that first-call allocations are not counted
@@ -231,7 +232,9 @@ def test_table_memory_per_segment():
     finally:
         tracemalloc.stop()
     assert len(table) == 500
-    assert held / (500 * 127) < 32
+    assert table.types.dtype == np.int8
+    assert table.starts.dtype == table.lengths.dtype == np.int32
+    assert held / (500 * 127) < 10
 
 
 @pytest.mark.parametrize("thresholds", [Thresholds(), Thresholds(v_h1=8.1)])
