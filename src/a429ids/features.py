@@ -11,25 +11,21 @@ and one kernel runs per group:
 
 - raw: a slice of the first columns;
 - generic: moments reduced along the rows;
-- polynomial: one stacked LAPACK ``gelsd`` call per group, one right-hand
-  side per segment, through ``numpy.linalg._umath_linalg.lstsq``, the
-  private gufunc that ``np.linalg.lstsq`` itself calls (checked with numpy
-  2.4.6), with the same ``rcond`` and error state. Every segment is solved
-  by the same LAPACK call as alone, so the coefficients equal
-  ``np.linalg.lstsq``'s to the bit; one solve with many right-hand sides per
-  group would be faster but rounds differently. ``parallel.map_rows`` cuts
-  the group into ``parallel.WORKERS`` contiguous row blocks, solved at once
-  by the calling thread and a shared pool (the gufunc releases the GIL),
-  and joins them in row order, so the split changes no bit. Each block
-  enters the error state itself: numpy keeps it per thread;
+- polynomial: a group's rows share one Vandermonde matrix V, so the group
+  takes ``np.linalg.pinv(V)`` once, with the singular-value cut of
+  ``np.linalg.lstsq(rcond=None)`` (it never fires on these matrices), and
+  sums every row's coefficients and fitted values over whole columns in a
+  fixed order. No BLAS call touches the data, so a segment's features are
+  the same bits in any batch and on any thread count. They differ from
+  per-segment ``np.linalg.lstsq`` by rounding alone: the tests hold the
+  coefficients within 1e-9 of the row's largest, the residual within 1e-9
+  of the row's sum of squares;
 - hand-crafted: transitions vectorized (mean slope, mean deviation from the
   chord), plateaus and like-bit nulls a loop over their landmarks.
 
 Within each type the rows come back in input order, which LOF's results
 depend on. ``extract`` and the ``extract_*`` functions are batches of one.
-The other kernels run on the calling thread: hand-crafted landmarks are a
-Python loop that holds the GIL, and raw and generic take a small share of
-an extraction.
+Every kernel runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -38,9 +34,7 @@ import itertools
 from enum import Enum
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
-from . import parallel
 from .bus import DEFAULT_BIT_RATE, DEFAULT_SAMPLES_PER_BIT
 from .segmentation import (
     SEGMENT_TYPES, TYPE_CODES, TRANSITION_TYPES, Segment, SegmentTable, SegmentType,
@@ -157,30 +151,19 @@ def _generic_rows(x: np.ndarray) -> np.ndarray:
     return np.column_stack([mu[:, 0], sd, var, skew, kurt, rms, x.max(axis=1), mean_sq])
 
 
-def _raise_lstsq_error(err, flag):
-    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
-
-
 def _polynomial_rows(x: np.ndarray, degree: int) -> np.ndarray:
-    # an orthogonal decomposition rather than normal equations: the degree-7
-    # Vandermonde is badly conditioned
+    # an SVD rather than normal equations, as the degree-7 Vandermonde is badly
+    # conditioned, with the cut of np.linalg.lstsq(rcond=None)
     n = x.shape[1]
-    t = np.linspace(0.0, 1.0, n)
-    vand = np.vander(t, degree + 1, increasing=True)
-    # what np.linalg.lstsq(vand, row, rcond=None) does for each row
-    rcond = np.finfo(np.float64).eps * max(n, degree + 1)
-    return parallel.map_rows(_polynomial_block, x, vand, rcond)
-
-
-def _polynomial_block(x: np.ndarray, vand: np.ndarray, rcond: float) -> np.ndarray:
-    # numpy's error state is per thread, so each block enters its own
-    with np.errstate(
-        call=_raise_lstsq_error, invalid="call", over="ignore", divide="ignore", under="ignore"
-    ):
-        coef, _, _, _ = _umath_linalg.lstsq(vand, x[:, :, None], rcond, signature="ddd->ddid")
-    fitted = (vand @ coef)[:, :, 0]
-    residual = np.sum((fitted - x) ** 2, axis=1)
-    return np.column_stack([coef[:, :, 0], residual])
+    vand = np.vander(np.linspace(0.0, 1.0, n), degree + 1, increasing=True)
+    pinv = np.linalg.pinv(vand, rcond=np.finfo(np.float64).eps * max(n, degree + 1))
+    # whole columns summed in a fixed order: no BLAS call on the data
+    cols = np.ascontiguousarray(x.T)
+    coef = [sum(pinv[j, i] * cols[i] for i in range(n)) for j in range(degree + 1)]
+    residual = sum(
+        (sum(vand[i, j] * c for j, c in enumerate(coef)) - cols[i]) ** 2 for i in range(n)
+    )
+    return np.column_stack([*coef, residual])
 
 
 def _next_extremum(x: np.ndarray, begin: int, sign: int) -> int | None:
@@ -273,7 +256,8 @@ def _columns(segments):
     """``(samples, types, starts, lengths)`` of a batch of segments, flat.
 
     A ``SegmentTable`` gives its own columns, read row-major; a sequence of
-    ``Segment`` objects gives columns over its concatenated samples.
+    ``Segment`` objects gives columns over its concatenated samples, which
+    must be finite (a ``Trace`` checks its own samples).
     """
     if isinstance(segments, SegmentTable):
         return (
@@ -284,7 +268,14 @@ def _columns(segments):
     lengths = np.array([len(seg.samples) for seg in segments], dtype=np.int64)
     types = np.array([TYPE_CODES[seg.seg_type] for seg in segments], dtype=np.int8)
     samples = np.concatenate([seg.samples for seg in segments]) if segments else np.empty(0)
-    return samples, types, np.cumsum(lengths) - lengths, lengths
+    starts = np.cumsum(lengths) - lengths
+    finite = np.isfinite(samples)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        i = int(np.searchsorted(starts, first, side="right")) - 1
+        where = f"segment {i} sample {first - starts[i]}"
+        raise ValueError(f"samples must be finite; {where} is {samples[first]}")
+    return samples, types, starts, lengths
 
 
 def extract_batch(
@@ -298,9 +289,10 @@ def extract_batch(
     vector of the segment at ``positions[i]``, and positions ascend, so each
     type's rows keep the input order. Types appear in the order of their
     first segment. Types the set excludes (the mixed-polarity nulls for
-    hand-crafted features) are left out. A segment too short for its set
-    raises ``SegmentTooShort`` before anything is computed, for the first
-    such segment in input order.
+    hand-crafted features) are left out. Before anything is computed, a
+    non-finite sample in a list of segments raises ``ValueError`` naming its
+    segment and sample, and a segment too short for its set raises
+    ``SegmentTooShort``, for the first such segment in input order.
     """
     if not isinstance(set_id, FeatureSet):
         raise ValueError(f"unknown feature set {set_id!r}")

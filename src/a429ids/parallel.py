@@ -12,10 +12,8 @@ submit to it themselves: a block that waited on the pool from a pool thread
 could hold the thread its own work needs. The public functions, which a
 traced run wraps in spans, stay on the calling thread.
 
-The kernels split this way:
+The kernels split this way, both LOF's:
 
-- ``features._polynomial_block``: the stacked least-squares fits of one
-  (segment type, length) group;
 - ``lof._dense_block``: the dense float32 screen and exact select;
 - ``lof._tree_block``: the k-d tree query, exact select and tie redo.
 """

@@ -283,7 +283,8 @@ def _ref_generic(seg, dt):
     return np.array([mu, sd, var, skew, kurt, np.sqrt(mean_sq), x.max(), mean_sq])
 
 
-def _ref_polynomial(seg, dt):
+def _ref_polynomial(seg):
+    """Per-segment ``np.linalg.lstsq``: the reference within a tolerance."""
     x = np.asarray(seg.samples, dtype=np.float64)
     t = np.linspace(0.0, 1.0, len(x))
     vand = np.vander(t, POLY_DEGREES[seg.seg_type] + 1, increasing=True)
@@ -313,7 +314,8 @@ def _ref_handcrafted(seg, dt):
 _REFERENCES = {
     FeatureSet.RAW: _ref_raw,
     FeatureSet.GENERIC: _ref_generic,
-    FeatureSet.POLYNOMIAL: _ref_polynomial,
+    # a batch of one: a row's bits do not depend on its group
+    FeatureSet.POLYNOMIAL: lambda seg, dt: extract_polynomial(seg),
     FeatureSet.HANDCRAFTED: _ref_handcrafted,
 }
 
@@ -361,6 +363,24 @@ def test_batch_matches_per_segment_reference_bitwise(shuffled_segments, set_id, 
         # the public per-segment functions give the same rows
         for i, row in zip(want_pos[:5], matrix):
             assert _same_bits(extract(set_id, shuffled_segments[i], dt=dt), row)
+
+
+def test_batch_polynomial_matches_lstsq_within_tolerance(shuffled_segments):
+    # the bank's groups, and a group of degree + 1 samples for each type,
+    # where the fit interpolates and the residual is rounding alone
+    rng = np.random.default_rng(7)
+    square = [
+        _seg(seg_type, 5.0 * rng.normal(size=(POLY_DEGREES[seg_type] + 1)))
+        for seg_type in SegmentType for _ in range(3)
+    ]
+    segments = shuffled_segments + square
+    out = extract_batch(FeatureSet.POLYNOMIAL, segments)
+    for positions, matrix in out.values():
+        want = np.array([_ref_polynomial(segments[i]) for i in positions])
+        coef_err = np.abs(matrix[:, :-1] - want[:, :-1]).max(axis=1)
+        assert np.all(coef_err <= 1e-9 * np.abs(want[:, :-1]).max(axis=1))
+        energy = np.array([np.sum(segments[i].samples ** 2) for i in positions])
+        assert np.all(np.abs(matrix[:, -1] - want[:, -1]) <= 1e-9 * energy)
 
 
 def test_batch_handcrafted_transition_with_flat_chord():
@@ -420,6 +440,24 @@ def test_batch_raises_for_first_short_segment(monkeypatch, set_id, first, second
     with pytest.raises(SegmentTooShort) as exc:
         extract_batch(set_id, segments)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("set_id", list(FeatureSet), ids=lambda s: s.value)
+def test_batch_rejects_non_finite_samples(monkeypatch, set_id, bad):
+    segments = [_seg(SegmentType.HI, _GOOD_HI[: 20 + i % 3]) for i in range(6)]
+    for i in (3, 5):
+        samples = segments[i].samples.copy()
+        samples[7] = bad
+        segments[i] = _seg(SegmentType.HI, samples)
+
+    def no_kernel(*args):
+        raise AssertionError("a kernel ran before the samples were checked")
+
+    monkeypatch.setattr(features, "_group_rows", no_kernel)
+    with pytest.raises(ValueError) as exc:
+        extract_batch(set_id, segments)
+    assert str(exc.value) == f"samples must be finite; segment 3 sample 7 is {bad}"
 
 
 @pytest.mark.parametrize("set_id", list(FeatureSet), ids=lambda s: s.value)

@@ -1,14 +1,13 @@
 """Row-split kernels: the same bytes for any worker count.
 
 ``parallel.WORKERS`` is monkeypatched; every output must equal the
-one-worker output to the bit, from the polynomial kernel up to the files
-the command line writes.
+one-worker output to the bit, from LOF's kernels up to the files the
+command line writes.
 """
 
 import inspect
 import os
 import threading
-import types
 
 import numpy as np
 import pytest
@@ -25,57 +24,57 @@ def test_workers_follow_affinity():
         assert parallel.WORKERS == (os.cpu_count() or 1)
 
 
-def _unsplit_polynomial_rows(x, degree):
-    """The kernel as one gufunc call over the whole group."""
-    n = x.shape[1]
-    vand = np.vander(np.linspace(0.0, 1.0, n), degree + 1, increasing=True)
-    rcond = np.finfo(np.float64).eps * max(n, degree + 1)
-    coef, _, _, _ = features._umath_linalg.lstsq(
-        vand, x[:, :, None], rcond, signature="ddd->ddid"
-    )
-    residual = np.sum(((vand @ coef)[:, :, 0] - x) ** 2, axis=1)
-    return np.column_stack([coef[:, :, 0], residual])
-
-
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("rows", [0, 1, 2, 3, 101])
-def test_polynomial_split_is_bitwise(monkeypatch, workers, rows):
+def test_polynomial_split_is_bitwise(workers, rows):
+    """A polynomial group cut into ``workers`` row blocks gives the whole
+    group's bits: a row does not depend on its group, so the kernel runs
+    unsplit on the calling thread."""
     x = np.random.default_rng(rows).normal(size=(rows, 20))
-    monkeypatch.setattr(parallel, "WORKERS", workers)
-    got = features._polynomial_rows(x, 7)
-    want = _unsplit_polynomial_rows(x, 7)
+    got = np.concatenate(
+        [features._polynomial_rows(block, 7) for block in np.array_split(x, workers)]
+    )
+    want = features._polynomial_rows(x, 7)
     assert got.shape == want.shape == (rows, 9)
     assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("workers, rows", [(1, 50), (3, 2)])
 def test_plain_call_starts_no_thread(monkeypatch, workers, rows):
+    """With one worker, or fewer query rows than workers, LOF's kernels (the
+    k-d tree at 4 dimensions, the dense screen at 20) are one plain call: no
+    pool, and the one-worker bits."""
     def no_pool():
         raise AssertionError("the pool was used")
 
-    monkeypatch.setattr(parallel, "WORKERS", workers)
+    for dim in (4, 20):
+        rng = np.random.default_rng(dim)
+        train, queries = rng.normal(size=(50, dim)), rng.normal(size=(rows, dim))
+        monkeypatch.setattr(parallel, "WORKERS", 1)
+        want = lof.fit(train, k=5)
+        want_scores = lof.score(want, queries)
+        with monkeypatch.context() as mp:
+            mp.setattr(parallel, "WORKERS", workers)
+            mp.setattr(parallel, "_pool", no_pool)
+            if workers == 1:  # a fit's query rows are its 50 training points
+                got = lof.fit(train, k=5)
+                for name in ("kdist", "lrd", "train_scores"):
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            assert lof.score(want, queries).tobytes() == want_scores.tobytes()
+
+
+def test_polynomial_features_start_no_thread(monkeypatch):
+    """The polynomial kernel is not row-split: it never uses the pool."""
+    def no_pool():
+        raise AssertionError("the pool was used")
+
+    monkeypatch.setattr(parallel, "WORKERS", 3)
     monkeypatch.setattr(parallel, "_pool", no_pool)
-    x = np.random.default_rng(0).normal(size=(rows, 20))
-    assert features._polynomial_rows(x, 7).tobytes() == _unsplit_polynomial_rows(x, 7).tobytes()
-
-
-@pytest.mark.parametrize("workers", [2, 3])
-def test_lstsq_error_is_raised_from_a_pool_block(monkeypatch, workers):
-    """An SVD that fails to converge in a block solved on a pool thread
-    still raises ``LinAlgError``: the error state is entered in the block,
-    not inherited from the caller's thread."""
-    x = np.arange(60 * 20, dtype=np.float64).reshape(60, 20)
-    real = features._umath_linalg.lstsq
-
-    def lstsq(vand, b, rcond, signature):
-        if b[0, 0, 0] != x[0, 0]:  # not the first block
-            np.sqrt(np.array(-1.0))  # raises the floating-point invalid flag
-        return real(vand, b, rcond, signature=signature)
-
-    monkeypatch.setattr(parallel, "WORKERS", workers)
-    monkeypatch.setattr(features, "_umath_linalg", types.SimpleNamespace(lstsq=lstsq))
-    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
-        features._polynomial_rows(x, 7)
+    x = np.random.default_rng(0).normal(size=(101, 20))
+    segments = [segmentation.Segment(segmentation.SegmentType.HI, row, 0) for row in x]
+    out = features.extract_batch(features.FeatureSet.POLYNOMIAL, segments)
+    (positions, matrix), = out.values()
+    assert positions.tolist() == list(range(101)) and matrix.shape == (101, 9)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +132,7 @@ def one_worker_outputs(inputs):
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_outputs_do_not_depend_on_workers(inputs, one_worker_outputs, monkeypatch, workers):
-    """The polynomial kernel's and the k-d tree blocks' row split. The pool
+    """The k-d tree blocks' row split, under polynomial features. The pool
     is used only with more than one worker, and only from the calling
     thread: a tree block, tie redo included, never submits."""
     callers = []
