@@ -4,8 +4,8 @@ Pipeline: synthesize device-specific BRTZ waveforms, segment each word into
 127 typed sub-bit segments, extract one of four feature sets, score each
 segment with a per-type local-outlier-factor model, vote the segments into
 a per-word label, and feed labels through a suspicion counter. The markov
-module analyses the counter exactly; the evaluation module reproduces the
-full experimental protocol on synthetic device populations.
+module analyses the counter as an absorbing chain; the evaluation module
+reproduces the full experimental protocol on synthetic device populations.
 """
 
 from .bus import (
@@ -42,7 +42,6 @@ from .features import (
 from .lof import LofModel
 from .markov import (
     alarm_probability,
-    build_chain,
     flight_false_alarm,
     time_to_detect,
     time_to_detect_seconds,

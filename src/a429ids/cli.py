@@ -305,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="report JSON path; CSVs land beside it")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("markov", help="exact suspicion-counter analysis")
+    p = sub.add_parser("markov", help="suspicion-counter analysis")
     p.add_argument("--p", type=_checked(markov.check_p), required=True,
                    help="per-word anomaly probability")
     p.add_argument("--t", type=t_suspicion, required=True, help="suspicion threshold")

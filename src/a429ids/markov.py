@@ -1,17 +1,21 @@
-"""Exact analysis of the suspicion counter as an absorbing Markov chain.
+"""Analysis of the suspicion counter as an absorbing Markov chain.
 
 The counter over a stream of i.i.d. per-word decisions (anomaly with
 probability ``p``) is a birth-death chain on states 0..T: +1 on anomaly,
--1 on normal with a floor at 0, and an absorbing alarm state at T. All
-quantities here are computed from powers of the dense transition matrix, or
-for moderate word counts by stepping the distribution one word at a time,
-so they are exact up to double-precision rounding even for flight-length
-word counts (tens of millions).
+-1 on normal with a floor at 0, and an absorbing alarm state at T. Every
+query walks the transient block Q (states 0..T-1) from state 0 through its
+squared powers Q, Q^2, Q^4, ... and keeps two masses, each a sum of
+non-negative terms: the mass that has alarmed and the mass that survives.
+Neither is read from a difference near 1, so both are exact up to
+double-precision rounding for up to 2**24 words. Beyond that, the surviving
+mass decays geometrically at the quasi-stationary rate, which carries
+flight-length word counts (tens of millions) and detection times out to
+2**63 words.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -23,20 +27,9 @@ DEFAULT_DETECT_TARGET = 0.99999
 # unreachable; anything larger has no physical meaning for a bus stream.
 _MAX_DETECT_WORDS = 2**63
 
-# time_to_detect steps the distribution forward for at most this many words
-# per counter state, then switches to squared matrix powers. A step makes no
-# BLAS call, so moderate queries stay fast while other processes load the
-# cores; the cap bounds the stepping wasted on targets far beyond it.
-_STEP_WORDS_PER_STATE = 16
-
-
-@dataclass(frozen=True)
-class CounterChain:
-    """Transition structure of the suspicion counter for one ``p``."""
-
-    p: float
-    t_suspicion: int
-    transition: np.ndarray  # (T+1, T+1), row-stochastic
+# Squared powers of the transient block reach this many words; beyond it the
+# surviving mass follows its quasi-stationary geometric decay.
+_DOUBLING_WORDS = 2**24
 
 
 # Argument checks, shared with the command line; each returns its argument as used.
@@ -66,34 +59,68 @@ def check_duration_s(duration_s: float) -> float:
     return float(duration_s)
 
 
-def build_chain(p: float, t_suspicion: int) -> CounterChain:
-    """Build the (T+1)x(T+1) transition matrix of the counter.
+def _walk(
+    p: float, t: int, words: int, survive: float = -math.inf
+) -> tuple[int, float, float]:
+    """Walk the counter from state 0 for up to ``words`` words, stopping at
+    the last word count n whose surviving (not yet alarmed) mass is above
+    ``survive``. Returns n and the alarm and surviving masses after n words.
 
-    Interior states move up with probability ``p`` and down with ``1 - p``;
-    state 0 floors (self-loop on a normal word) and state T is absorbing.
+    Up to 2**24 words, n is assembled from squared powers Q^m, largest
+    first, each with every state's alarm mass within m words. Beyond, the
+    surviving distribution d is quasi-stationary: each word alarms the same
+    share r = p * d[T-1] / sum(d) of it, so the surviving mass decays as
+    (1 - r)^n (Darroch & Seneta, J. Appl. Prob. 1965).
     """
-    p = check_p(p)
-    t = check_t(t_suspicion)
-    matrix = np.zeros((t + 1, t + 1))
-    for i in range(t):
-        matrix[i, max(i - 1, 0)] += 1.0 - p
-        matrix[i, i + 1] = p
-    matrix[t, t] = 1.0
-    return CounterChain(p=p, t_suspicion=t, transition=matrix)
+    states = np.arange(t)
+    power = np.zeros((t, t))
+    power[states, np.maximum(states - 1, 0)] = 1.0 - p
+    power[states[:-1], states[:-1] + 1] = p
+    alarm = np.zeros(t)
+    alarm[-1] = p
+    limit, span, powers = min(words, _DOUBLING_WORDS), 1, []
+    while True:
+        # keep only the powers the descent below can take: the bits of
+        # `limit`, or all of them up to the bracket of `survive`
+        if span & limit or survive > -math.inf:
+            powers.append((span, power, alarm))
+        if 2 * span > limit or power[0].sum() <= survive:
+            break
+        # an alarm within 2m words comes within the first m, or within the
+        # next m from where the first m left the counter
+        alarm = alarm + power @ alarm
+        power, span = power @ power, 2 * span
+    n, alarmed, dist = 0, 0.0, np.eye(1, t)[0]
+    for span, power, alarm in reversed(powers):
+        if n + span <= limit:
+            ahead = dist @ power
+            if ahead.sum() > survive:
+                n, alarmed, dist = n + span, alarmed + float(dist @ alarm), ahead
+    surviving = float(dist.sum())
+    if n == _DOUBLING_WORDS < words and surviving > 0.0:
+        log_keep = math.log1p(-p * float(dist[-1]) / surviving)
+        steps = words - n
+        if survive > 0.0 and log_keep < 0.0:
+            # the surviving mass reaches `survive` after `crossing` more words
+            crossing = math.log(survive / surviving) / log_keep
+            if crossing < steps:
+                steps = math.ceil(crossing) - 1
+        lost = -surviving * math.expm1(steps * log_keep)
+        return n + steps, alarmed + lost, surviving * math.exp(steps * log_keep)
+    return n, alarmed, surviving
 
 
 def alarm_probability(p: float, t_suspicion: int, n: int) -> float:
     """Probability that the counter, started at 0, alarms within ``n`` words.
 
-    Equals the mass of the absorbing state in the distribution after n
-    steps; the matrix power uses repeated squaring, so large n is cheap.
+    The alarm mass while it is below 1/2, and one minus the surviving mass
+    above, so neither is read from a difference near 1.
     """
     n = int(n)
     if n < 0:
         raise ValueError(f"word count must be >= 0, got {n}")
-    chain = build_chain(p, t_suspicion)
-    power = np.linalg.matrix_power(chain.transition, n)
-    return float(power[0, -1])
+    _, alarmed, surviving = _walk(check_p(p), check_t(t_suspicion), n)
+    return alarmed if alarmed < 0.5 else 1.0 - surviving
 
 
 def time_to_detect(
@@ -103,51 +130,21 @@ def time_to_detect(
 ) -> int | None:
     """Minimal word count n with ``alarm_probability(p, T, n) >= target``.
 
-    Returns None when the target is unreachable (p == 0, or the search
-    would have to look past 2**63 words). The distribution is stepped
-    forward one word at a time for up to 16 words per counter state; beyond
-    that, it is pushed through squared powers P, P^2, P^4, ... until the
-    target is bracketed, and the bracket is bisected bit by bit with the
-    same powers. Both are exact up to double rounding, and the search is
-    valid because alarm_probability is non-decreasing in n (the alarm state
-    is absorbing).
+    The surviving mass is bracketed against ``1 - target`` with squared
+    powers and bisected bit by bit with the same powers, then followed by
+    its geometric tail beyond 2**24 words. Returns None when the target is
+    unreachable: p == 0, target >= 1 with p < 1, or more than 2**63 words
+    needed.
     """
     p = check_p(p)
     t = check_t(t_suspicion)
     if target <= 0.0:
         return 0
-    if p == 0.0:
-        return None
-
-    q = 1.0 - p
-    dist = np.zeros(t + 1)
-    dist[0] = 1.0
-    out = np.empty_like(dist)
-    for n in range(1, _STEP_WORDS_PER_STATE * (t + 1) + 1):
-        # out = dist @ P without forming P: up-moves, the absorbing alarm
-        # state, then down-moves with the floor at 0
-        out[0] = q * dist[0]
-        out[1:] = p * dist[:-1]
-        out[t] += dist[t]
-        out[: t - 1] += q * dist[1:t]
-        dist, out = out, dist
-        if dist[t] >= target:
-            return n
-
-    # the alarm probability after n words is below target; find a span with
-    # the target reached after n + span words
-    powers, span = [build_chain(p, t).transition], 1
-    while (dist @ powers[-1])[t] < target:
-        if n + 2 * span > _MAX_DETECT_WORDS:
-            return None
-        powers.append(powers[-1] @ powers[-1])
-        span *= 2
-    for power in reversed(powers[:-1]):
-        span //= 2
-        ahead = dist @ power
-        if ahead[t] < target:
-            dist, n = ahead, n + span
-    return n + 1
+    if target >= 1.0:
+        # for p < 1 some mass stays at 0 through any number of words
+        return t if p == 1.0 else None
+    n, _, _ = _walk(p, t, _MAX_DETECT_WORDS, 1.0 - target)
+    return None if n == _MAX_DETECT_WORDS else n + 1
 
 
 def time_to_detect_seconds(

@@ -117,20 +117,32 @@ def recurrence_alarm_probability(p, t_suspicion, n):
     return v[t]
 
 
+def mean_passage_words(p, t_suspicion):
+    """Mean words from 0 to the alarm: the sum of the level-crossing times
+    h_k (k -> k+1), h_0 = 1/p at the floor and h_k = 1/p + (q/p) h_{k-1}
+    above it."""
+    q = 1.0 - p
+    h = total = 0.0
+    for _ in range(t_suspicion):
+        h = 1.0 / p + (q / p) * h
+        total += h
+    return total
+
+
 def renewal_alarm_probability(p, t_suspicion, n):
     """Alarm-within-n probability for a rare alarm, in closed form.
 
-    The mean first-passage time from 0 to T is the sum of the level-crossing
-    times h_k (k -> k+1): h_0 = 1/p at the floor, h_k = 1/p + (q/p) h_{k-1}
-    above it. When that mean dwarfs the time the counter needs to forget its
-    start, passage is close to exponential: P(alarm by n) ~ 1 - exp(-n/E[tau]).
+    When the mean first-passage time E[tau] dwarfs the time the counter
+    needs to forget its start, passage is close to exponential:
+    P(alarm by n) ~ 1 - exp(-n/E[tau]).
     """
-    q = 1.0 - p
-    h = mean_passage = 0.0
-    for _ in range(t_suspicion):
-        h = 1.0 / p + (q / p) * h
-        mean_passage += h
-    return -math.expm1(-n / mean_passage)
+    return -math.expm1(-n / mean_passage_words(p, t_suspicion))
+
+
+def renewal_detect_words(p, t_suspicion, target):
+    """Least n with 1 - exp(-n/E[tau]) >= target; None past 2**63 words."""
+    n = math.ceil(-mean_passage_words(p, t_suspicion) * math.log1p(-target))
+    return None if n > 2**63 else n
 
 
 # ---------------------------------------------------------------------------

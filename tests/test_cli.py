@@ -213,6 +213,14 @@ def test_markov_point_query(capsys):
     assert "1.93" in out  # about two seconds at 610 words/s
 
 
+def test_markov_point_query_unreachable(capsys):
+    # p=0.1, T=19 needs more than 2**63 words for the default 0.99999 target
+    assert main(["markov", "--p", "0.1", "--t", "19"]) == 0
+    out = capsys.readouterr().out
+    assert "target 0.99999 unreachable" in out
+    assert "words" not in out
+
+
 def test_markov_sweep(work):
     base = work / "markov.csv"
     assert main([

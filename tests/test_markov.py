@@ -1,33 +1,22 @@
-import numpy as np
+import math
+
 import pytest
 
 from a429ids import markov
 
-from oracles import enumerate_alarm_probability, recurrence_alarm_probability
-
-
-def test_chain_structure_t3():
-    chain = markov.build_chain(0.25, 3)
-    expected = np.array(
-        [
-            [0.75, 0.25, 0.0, 0.0],
-            [0.75, 0.0, 0.25, 0.0],
-            [0.0, 0.75, 0.0, 0.25],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
-    )
-    assert np.allclose(chain.transition, expected, atol=1e-15)
-    assert np.allclose(chain.transition.sum(axis=1), 1.0, atol=1e-12)
+from oracles import (
+    enumerate_alarm_probability,
+    recurrence_alarm_probability,
+    renewal_detect_words,
+)
 
 
 def test_chain_p0_and_p1():
-    chain0 = markov.build_chain(0.0, 5)
-    assert chain0.transition[0, 0] == 1.0  # row 0 is an identity row
     assert markov.alarm_probability(0.0, 5, 10_000) == 0.0
 
-    # deterministic march: all mass on the alarm state after T words
-    power = np.linalg.matrix_power(markov.build_chain(1.0, 7).transition, 7)
-    assert power[0, 7] == pytest.approx(1.0, abs=1e-15)
+    # deterministic march: the alarm comes at exactly word T
+    assert markov.alarm_probability(1.0, 7, 6) == 0.0
+    assert markov.alarm_probability(1.0, 7, 7) == 1.0
 
 
 def test_alarm_probability_t1_geometric():
@@ -75,12 +64,6 @@ def test_monotonicity_grid():
             assert all(a >= b - 1e-12 for a, b in zip(seq, seq[1:]))
 
 
-def test_matrix_power_stays_stochastic():
-    chain = markov.build_chain(0.37, 25)
-    power = np.linalg.matrix_power(chain.transition, 10_000_000)
-    assert np.allclose(power.sum(axis=1), 1.0, atol=1e-9)
-
-
 def test_time_to_detect_deterministic_cases():
     assert markov.time_to_detect(1.0, 10) == 10
     # T=1 geometric: smallest n with 1-(1-p)^n >= target
@@ -98,6 +81,30 @@ def test_time_to_detect_unreachable():
     assert markov.time_to_detect(0.5, 5, target=0.0) == 0
 
 
+def test_time_to_detect_target_one():
+    # for p < 1 the counter can stay at 0 through any number of words, so the
+    # surviving mass never reaches 0, however far it underflows
+    assert markov.time_to_detect(0.5, 5, target=1.0) is None
+    assert markov.time_to_detect(0.999, 3, target=1.0) is None
+    assert markov.time_to_detect(1.0, 5, target=1.0) == 5
+
+
+# detection times past the 2**24 words of squared powers, where the
+# quasi-stationary tail answers; these agree with the renewal estimate to
+# 1e-8 relative or better
+@pytest.mark.parametrize("p, t", [(0.1, 11), (0.1, 12), (0.1, 18), (0.2, 15), (0.2, 29)])
+def test_time_to_detect_matches_renewal_estimate(p, t):
+    want = renewal_detect_words(p, t, markov.DEFAULT_DETECT_TARGET)
+    assert want is not None and want > 2**24
+    assert markov.time_to_detect(p, t) == pytest.approx(want, rel=1e-3)
+
+
+@pytest.mark.parametrize("p, t", [(0.1, 19), (0.2, 30), (0.2, 50)])
+def test_time_to_detect_past_2_63_words_is_unreachable(p, t):
+    assert renewal_detect_words(p, t, markov.DEFAULT_DETECT_TARGET) is None
+    assert markov.time_to_detect(p, t) is None
+
+
 def test_time_to_detect_seconds():
     n = markov.time_to_detect(0.6, 100)
     seconds = markov.time_to_detect_seconds(0.6, 100, words_per_s=610.0)
@@ -108,18 +115,27 @@ def test_time_to_detect_seconds():
 def test_flight_false_alarm_closed_forms():
     assert markov.flight_false_alarm(0.0, 10) == 0.0
     # T=1: one bad word is enough; 10h at 610 words/s is 21 960 000 words.
-    # Repeated squaring loses ~2^log2(n) ulps, hence the 1e-7 band.
-    expected = 1.0 - (1.0 - 1e-8) ** 21_960_000
-    assert markov.flight_false_alarm(1e-8, 1) == pytest.approx(expected, rel=1e-7)
+    # The squared powers reach 2**24 of them and the geometric tail the
+    # rest; the alarm mass of the squared powers is 3.7e-10 off, relative.
+    expected = -math.expm1(21_960_000 * math.log1p(-1e-8))
+    assert markov.flight_false_alarm(1e-8, 1) == pytest.approx(expected, rel=1e-9)
+
+
+def test_flight_false_alarm_in_range_and_non_increasing_in_t():
+    # no slack: values that round to 1 must not come back above it
+    for p in (0.1, 0.2, 0.4):
+        flight = [markov.flight_false_alarm(p, t) for t in range(1, 51)]
+        assert all(0.0 <= f <= 1.0 for f in flight)
+        assert all(b <= a for a, b in zip(flight, flight[1:]))
 
 
 def test_validation_errors():
-    with pytest.raises(ValueError):
-        markov.build_chain(-0.1, 5)
-    with pytest.raises(ValueError):
-        markov.build_chain(1.1, 5)
-    with pytest.raises(ValueError):
-        markov.build_chain(0.5, 0)
+    with pytest.raises(ValueError, match=r"anomaly probability must be in \[0, 1\], got -0.1"):
+        markov.alarm_probability(-0.1, 5, 10)
+    with pytest.raises(ValueError, match=r"anomaly probability must be in \[0, 1\], got 1.1"):
+        markov.alarm_probability(1.1, 5, 10)
+    with pytest.raises(ValueError, match="t_suspicion must be >= 1, got 0"):
+        markov.alarm_probability(0.5, 0, 10)
     with pytest.raises(ValueError):
         markov.alarm_probability(0.5, 5, -1)
     # a word rate or flight duration that is not a finite number in range is
