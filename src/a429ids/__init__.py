@@ -15,13 +15,11 @@ from .bus import (
     decimate,
     read_trace,
     synthesize_stream,
-    synthesize_word,
     write_trace,
 )
 from .detector import (
     SuspicionCounter,
     WordDetector,
-    classify_word,
     classify_words,
     counter_step,
     first_passage,
@@ -33,10 +31,6 @@ from .detector import (
 from .features import (
     FeatureSet,
     extract,
-    extract_generic,
-    extract_handcrafted,
-    extract_polynomial,
-    extract_raw,
     feature_length,
 )
 from .lof import LofModel

@@ -299,20 +299,6 @@ def synthesize_stream(
     return Trace(fs, tx.bit_rate, x, word_starts)
 
 
-def synthesize_word(
-    tx: TransmitterProfile,
-    loads,
-    word: int,
-    seed: int = 0,
-    gap_bits: int = MIN_GAP_BITS,
-    sample_rate: float | None = None,
-) -> Trace:
-    """Render a single word followed by its trailing inter-word null."""
-    return synthesize_stream(
-        tx, loads, [word], gap_bits=gap_bits, seed=seed, sample_rate=sample_rate
-    )
-
-
 def decimate(trace: Trace, factor: int, taps: int) -> Trace:
     """Low-pass (Hamming-windowed sinc at Nyquist/factor) and downsample.
 

@@ -308,7 +308,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("markov", help="suspicion-counter analysis")
     p.add_argument("--p", type=_checked(markov.check_p), required=True,
                    help="per-word anomaly probability")
-    p.add_argument("--t", type=t_suspicion, required=True, help="suspicion threshold")
+    p.add_argument("--t", type=_checked(markov.check_chain_t, int), required=True,
+                   help=f"suspicion threshold, at most {markov.MAX_CHAIN_T}")
     p.add_argument("--target", type=_checked(_target), default=markov.DEFAULT_DETECT_TARGET)
     p.add_argument("--rate", type=rate, default=markov.DEFAULT_WORDS_PER_SECOND)
     p.add_argument("--flight-duration", type=_checked(markov.check_duration_s),

@@ -7,8 +7,8 @@ many of a word's segments vote "normal"; the word is anomalous when that
 count does not exceed t_votes. Segment types the feature set excludes are
 skipped outright - they shrink the voting universe instead of counting as
 free normal votes. The suspicion counter then turns per-word labels into
-an alarm: +1 on an anomaly, -1 on a normal word with a floor at zero, and
-an absorbing alarm once it reaches t_suspicion.
+an alarm: +1 on an anomaly, -1 on a normal word with a floor at zero; a
+counter is alarmed, for good, exactly when its value reaches t_suspicion.
 
 `first_passage` is the counter's one kernel: the alarm word of every
 t_suspicion for many label streams at once. `run_labels` and the evaluation
@@ -38,14 +38,10 @@ class WordDetector:
     sample_interval: float = DEFAULT_SAMPLE_INTERVAL
 
 
-def _flatten(words):
-    """(segments, owners, n_words): a batch of words as one flat batch of
-    segments for ``features.extract_batch``, with the word of each segment."""
-    if isinstance(words, SegmentTable):
-        return words, np.repeat(np.arange(len(words)), SEGMENTS_PER_WORD), len(words)
-    words = list(words)
-    owners = np.repeat(np.arange(len(words)), [len(word) for word in words])
-    return [seg for word in words for seg in word], owners, len(words)
+def _check_table(words) -> SegmentTable:
+    if not isinstance(words, SegmentTable):
+        raise TypeError(f"words must be a SegmentTable, got {type(words).__name__}")
+    return words
 
 
 def check_t_votes(t_votes: int) -> int:
@@ -66,14 +62,13 @@ def train_detector(
 ) -> WordDetector:
     """Fit one per-type model from segmented normal words.
 
-    ``training_words`` is a ``SegmentTable`` or a list of per-word segment
-    lists. Types that never occur in the training words get no model (they
-    cannot occur at test time either when the guarded bus replays the same
-    word vocabulary); a type that occurs too rarely to fit is an error.
+    ``training_words`` is a ``SegmentTable``. Types that never occur in it
+    get no model (they cannot occur at test time either when the guarded bus
+    replays the same word vocabulary); a type too rare to fit is an error.
     """
     t_votes = check_t_votes(t_votes)
-    segments, _, _ = _flatten(training_words)
-    pools = features.extract_batch(set_id, segments, dt=sample_interval)
+    table = _check_table(training_words)
+    pools = features.extract_batch(set_id, table, dt=sample_interval)
     if not pools:
         raise ValueError("no training segments")
     models = {}
@@ -92,14 +87,14 @@ def train_detector(
 def classify_words(detector: WordDetector, words) -> tuple[np.ndarray, np.ndarray]:
     """Labels and normal-vote counts for a batch of segmented words.
 
-    ``words`` is a ``SegmentTable`` or a list of per-word segment lists.
-    Returns (is_anomaly bool array, normal_votes int array). Segments are
-    grouped by type so each model scores one matrix; per-word results are
-    scattered back afterwards.
+    ``words`` is a ``SegmentTable``; ``table[i : i + 1]`` is its word i
+    alone. Returns (is_anomaly bool array, normal_votes int array). Segments
+    are grouped by type so each model scores one matrix; per-word results
+    are scattered back afterwards.
     """
-    segments, owners, n_words = _flatten(words)
-    votes = np.zeros(n_words, dtype=np.int64)
-    grouped = features.extract_batch(detector.set_id, segments, dt=detector.sample_interval)
+    table = _check_table(words)
+    votes = np.zeros(len(table), dtype=np.int64)
+    grouped = features.extract_batch(detector.set_id, table, dt=detector.sample_interval)
     for seg_type, (positions, vecs) in grouped.items():
         model = detector.models.get(seg_type)
         if model is None:
@@ -108,33 +103,25 @@ def classify_words(detector: WordDetector, words) -> tuple[np.ndarray, np.ndarra
                 "it never occurred in the training words"
             )
         anomalous = lof.classify(model, vecs)
-        np.add.at(votes, owners[positions], (~anomalous).astype(np.int64))
+        np.add.at(votes, positions // SEGMENTS_PER_WORD, (~anomalous).astype(np.int64))
     labels = votes <= detector.t_votes
     return labels, votes
-
-
-def classify_word(detector: WordDetector, word_segments) -> tuple[bool, int]:
-    """Label one word: (is_anomaly, normal_votes)."""
-    labels, votes = classify_words(detector, [word_segments])
-    return bool(labels[0]), int(votes[0])
 
 
 @dataclass(frozen=True)
 class SuspicionCounter:
     t_suspicion: int
     value: int = 0
-    alarmed: bool = False
 
     def __post_init__(self):
         markov.check_t(self.t_suspicion)
         if not 0 <= self.value <= self.t_suspicion:
             raise ValueError(f"counter value {self.value} outside [0, {self.t_suspicion}]")
-        # counter_step raises the alarm exactly when the value reaches t_suspicion
-        if self.alarmed != (self.value == self.t_suspicion):
-            raise ValueError(
-                f"counter value {self.value} with alarmed={self.alarmed}: "
-                f"a counter is alarmed exactly at value {self.t_suspicion}"
-            )
+
+    @property
+    def alarmed(self) -> bool:
+        """True once the value has reached t_suspicion, which absorbs it."""
+        return self.value == self.t_suspicion
 
 
 def counter_step(counter: SuspicionCounter, is_anomaly: bool) -> SuspicionCounter:
@@ -145,7 +132,7 @@ def counter_step(counter: SuspicionCounter, is_anomaly: bool) -> SuspicionCounte
         value = counter.value + 1
     else:
         value = max(counter.value - 1, 0)
-    return replace(counter, value=value, alarmed=value >= counter.t_suspicion)
+    return replace(counter, value=value)
 
 
 def first_passage(labels, max_level: int, start: int = 0) -> np.ndarray:

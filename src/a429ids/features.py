@@ -24,8 +24,8 @@ and one kernel runs per group:
   chord), plateaus and like-bit nulls a loop over their landmarks.
 
 Within each type the rows come back in input order, which LOF's results
-depend on. ``extract`` and the ``extract_*`` functions are batches of one.
-Every kernel runs on the calling thread.
+depend on. ``extract``, the feature vector of one segment, is a batch of
+one. Every kernel runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -44,6 +44,21 @@ DEFAULT_SAMPLE_INTERVAL = 1.0 / (DEFAULT_BIT_RATE * DEFAULT_SAMPLES_PER_BIT)
 
 
 class FeatureSet(Enum):
+    """The four feature sets; ``feature_length`` gives each vector's length.
+
+    RAW: the first ``RAW_LENGTHS[type]`` samples, verbatim. GENERIC: mean,
+    std, variance, skewness, kurtosis, RMS, maximum and energy, moments in
+    population form (divisor N); zero spread gives skewness and kurtosis 0.
+    POLYNOMIAL: least-squares coefficients of degree ``POLY_DEGREES[type]``
+    on a [0, 1] time axis, ascending powers, then the residual (sum of
+    squared fit errors). HANDCRAFTED: landmarks, times in seconds (``dt``
+    per sample). HI: overshoot maximum, next minimum and maximum (times
+    from the segment start) and the later two's offsets from the first; LO
+    mirrors it. Like-bit nulls take their overshoot extremum, transitions
+    the mean slope and mean deviation from the endpoint chord; the
+    mixed-polarity nulls (``HANDCRAFTED_EXCLUDED``) have no vector.
+    """
+
     RAW = "raw"
     GENERIC = "generic"
     POLYNOMIAL = "polynomial"
@@ -51,10 +66,6 @@ class FeatureSet(Enum):
 
 
 class SegmentTooShort(ValueError):
-    pass
-
-
-class ExcludedSegmentType(ValueError):
     pass
 
 
@@ -340,61 +351,11 @@ def _gather(samples: np.ndarray, starts: np.ndarray, n: int) -> np.ndarray:
     return samples[starts[:, None] + np.arange(n)].astype(np.float64, copy=False)
 
 
-def _extract_one(set_id: FeatureSet, segment: Segment, dt: float) -> np.ndarray | None:
-    for _, matrix in extract_batch(set_id, [segment], dt).values():
-        return matrix[0]
-    return None  # the set excludes the segment's type
-
-
-def extract_raw(segment: Segment) -> np.ndarray:
-    """First ``RAW_LENGTHS[type]`` samples of the segment, verbatim."""
-    return _extract_one(FeatureSet.RAW, segment, DEFAULT_SAMPLE_INTERVAL)
-
-
-def extract_generic(segment: Segment) -> np.ndarray:
-    """Mean, std, variance, skewness, kurtosis, RMS, maximum and energy.
-
-    All moments use the population form (divisor N). A constant segment has
-    zero spread, so its skewness and kurtosis are defined as 0.
-    """
-    return _extract_one(FeatureSet.GENERIC, segment, DEFAULT_SAMPLE_INTERVAL)
-
-
-def extract_polynomial(segment: Segment) -> np.ndarray:
-    """Least-squares polynomial coefficients plus the fit residual.
-
-    The degree is ``POLY_DEGREES[type]`` and the time axis is normalised to
-    [0, 1]. Coefficients come back in ascending power order followed by the
-    residual (sum of squared fit errors).
-    """
-    return _extract_one(FeatureSet.POLYNOMIAL, segment, DEFAULT_SAMPLE_INTERVAL)
-
-
-def extract_handcrafted(
-    segment: Segment, dt: float = DEFAULT_SAMPLE_INTERVAL
-) -> np.ndarray:
-    """Shape landmarks; ``dt`` converts sample offsets into seconds.
-
-    HI: overshoot maximum, following minimum, following maximum (times from
-    the segment start) and the offsets of the later points from the first.
-    LO is the mirror image. Like-bit nulls take only their overshoot
-    extremum. Transitions take the mean slope and the mean deviation from
-    the chord joining the endpoints. The mixed-polarity nulls raise
-    ``ExcludedSegmentType``.
-    """
-    if segment.seg_type in HANDCRAFTED_EXCLUDED:
-        raise ExcludedSegmentType(
-            f"{segment.seg_type.value} segments have no hand-crafted features"
-        )
-    return _extract_one(FeatureSet.HANDCRAFTED, segment, dt)
-
-
 def extract(
     set_id: FeatureSet, segment: Segment, dt: float = DEFAULT_SAMPLE_INTERVAL
 ) -> np.ndarray | None:
-    """Feature vector of one segment.
-
-    Returns None (a "no vector" marker) for segment types the set excludes;
-    the detector skips those segments instead of voting on them.
-    """
-    return _extract_one(set_id, segment, dt)
+    """Feature vector of one segment, ``extract_batch`` on a batch of one;
+    None for a segment type the set excludes."""
+    for _, matrix in extract_batch(set_id, [segment], dt).values():
+        return matrix[0]
+    return None

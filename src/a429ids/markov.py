@@ -31,6 +31,9 @@ _MAX_DETECT_WORDS = 2**63
 # surviving mass follows its quasi-stationary geometric decay.
 _DOUBLING_WORDS = 2**24
 
+# Largest T a chain query takes: it holds up to 25 dense T x T powers (200 MB).
+MAX_CHAIN_T = 1000
+
 
 # Argument checks, shared with the command line; each returns its argument as used.
 def check_p(p: float) -> float:
@@ -44,6 +47,14 @@ def check_t(t_suspicion: int, name: str = "t_suspicion") -> int:
     t = int(t_suspicion)
     if t < 1:
         raise ValueError(f"{name} must be >= 1, got {t_suspicion}")
+    return t
+
+
+def check_chain_t(t_suspicion: int) -> int:
+    """``check_t`` with the cap of a chain query, whose memory grows as T**2."""
+    t = check_t(t_suspicion)
+    if t > MAX_CHAIN_T:
+        raise ValueError(f"t_suspicion must be <= {MAX_CHAIN_T} for a chain query, got {t}")
     return t
 
 
@@ -119,7 +130,7 @@ def alarm_probability(p: float, t_suspicion: int, n: int) -> float:
     n = int(n)
     if n < 0:
         raise ValueError(f"word count must be >= 0, got {n}")
-    _, alarmed, surviving = _walk(check_p(p), check_t(t_suspicion), n)
+    _, alarmed, surviving = _walk(check_p(p), check_chain_t(t_suspicion), n)
     return alarmed if alarmed < 0.5 else 1.0 - surviving
 
 
@@ -137,7 +148,7 @@ def time_to_detect(
     needed.
     """
     p = check_p(p)
-    t = check_t(t_suspicion)
+    t = check_chain_t(t_suspicion)
     if target <= 0.0:
         return 0
     if target >= 1.0:

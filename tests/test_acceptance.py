@@ -174,7 +174,7 @@ def test_criterion_5_feature_correctness():
     # generic statistics against the naive formula evaluation
     for _ in range(200):
         samples = rng.normal(scale=rng.uniform(0.1, 5.0), size=int(rng.integers(4, 25)))
-        got = features.extract_generic(Segment(SegmentType.HI, samples, 0))
+        got = features.extract(FeatureSet.GENERIC, Segment(SegmentType.HI, samples, 0))
         want = np.asarray(naive_generic(samples))
         ok = ok and np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
@@ -185,7 +185,7 @@ def test_criterion_5_feature_correctness():
             coef = rng.uniform(-3, 3, size=degree + 1)
             t = np.linspace(0.0, 1.0, n)
             y = sum(c * t**j for j, c in enumerate(coef))
-            out = features.extract_polynomial(Segment(seg_type, y, 0))
+            out = features.extract(FeatureSet.POLYNOMIAL, Segment(seg_type, y, 0))
             ok = ok and np.allclose(out[:-1], coef, atol=1e-9)
             ok = ok and out[-1] < 1e-12
 
@@ -199,13 +199,15 @@ def test_criterion_5_feature_correctness():
     }
     for seg_type, want_len in lengths.items():
         samples = rng.normal(size=want_len + 4)
-        out = features.extract_raw(Segment(seg_type, samples, 0))
+        out = features.extract(FeatureSet.RAW, Segment(seg_type, samples, 0))
         ok = ok and len(out) == want_len and np.array_equal(out, samples[:want_len])
 
     # hand-crafted landmarks on the scripted ripple
     dt = 2e-7
     ripple = [9.0, 11.0, 10.6, 9.4, 9.8, 10.2, 10.0, 10.0]
-    out = features.extract_handcrafted(Segment(SegmentType.HI, np.array(ripple), 0), dt=dt)
+    out = features.extract(
+        FeatureSet.HANDCRAFTED, Segment(SegmentType.HI, np.array(ripple), 0), dt=dt
+    )
     want = [1 * dt, 11.0, 3 * dt, 9.4, 5 * dt, 10.2, 2 * dt, -1.6, 4 * dt, -0.8]
     ok = ok and np.allclose(out, want, rtol=1e-12)
     elapsed = time.perf_counter() - t0

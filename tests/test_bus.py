@@ -23,7 +23,7 @@ def _plateau_window(bit_index, profile, sample_rate=5e6):
 
 def test_flat_top_noiseless():
     tx = TransmitterProfile(noise_sigma=0.0, overshoot_frac=0.0, timing_jitter=0.0)
-    trace = bus.synthesize_word(tx, [], 0xFFFFFFFF, seed=0)
+    trace = bus.synthesize_stream(tx, [], [0xFFFFFFFF], seed=0)
     for bit in range(32):
         lo, hi = _plateau_window(bit, tx)
         assert np.all(trace.samples[lo:hi] == tx.hi_volts)
@@ -31,7 +31,7 @@ def test_flat_top_noiseless():
 
 def test_plateau_mean_within_noise_band():
     tx = TransmitterProfile()  # nominal: noise 0.05 V
-    trace = bus.synthesize_word(tx, [], 0xFFFFFFFF, seed=42)
+    trace = bus.synthesize_stream(tx, [], [0xFFFFFFFF], seed=42)
     plateau = np.concatenate(
         [trace.samples[slice(*_plateau_window(bit, tx))] for bit in range(32)]
     )
@@ -87,7 +87,7 @@ def test_level_compliance_after_ringing_decay():
     # noiseless plateau extrema stay inside the +-1 V tolerance once the
     # ringing has decayed (last quarter of the plateau)
     tx = TransmitterProfile(noise_sigma=0.0, timing_jitter=0.0)
-    trace = bus.synthesize_word(tx, [], 0xFFFFFFFF, seed=0)
+    trace = bus.synthesize_stream(tx, [], [0xFFFFFFFF], seed=0)
     bit_period = 1.0 / tx.bit_rate
     ramp = tx.rise_time / bus._RAMP_10_90_FRACTION
     for bit in range(32):
@@ -104,18 +104,20 @@ def test_null_shape_smile_and_frown():
     tx = TransmitterProfile(noise_sigma=0.0, timing_jitter=0.0)
     bit_period_samples = SPB
     # between two 1 bits the null dips below zero; between two 0 bits it peaks above
-    ones = bus.synthesize_word(tx, [], 0xFFFFFFFF, seed=0)
+    ones = bus.synthesize_stream(tx, [], [0xFFFFFFFF], seed=0)
     gap = ones.samples[int(0.85 * bit_period_samples) : bit_period_samples]
     assert gap.min() < -0.1
-    zeros = bus.synthesize_word(tx, [], 0x00000000, seed=0)
+    zeros = bus.synthesize_stream(tx, [], [0x00000000], seed=0)
     gap = zeros.samples[int(0.85 * bit_period_samples) : bit_period_samples]
     assert gap.max() > 0.1
 
 
 def test_receiver_load_filters_and_gain():
     tx = TransmitterProfile(noise_sigma=0.0, timing_jitter=0.0)
-    plain = bus.synthesize_word(tx, [], 0xFFFFFFFF, seed=0)
-    loaded = bus.synthesize_word(tx, [ReceiverLoad(cutoff_freq=5e5, gain=0.9)], 0xFFFFFFFF, seed=0)
+    plain = bus.synthesize_stream(tx, [], [0xFFFFFFFF], seed=0)
+    loaded = bus.synthesize_stream(
+        tx, [ReceiverLoad(cutoff_freq=5e5, gain=0.9)], [0xFFFFFFFF], seed=0
+    )
     lo, hi = _plateau_window(4, tx)
     # DC gain of the one-pole is 1, so the plateau scales by the load gain
     assert np.mean(loaded.samples[lo:hi]) == pytest.approx(
@@ -128,7 +130,7 @@ def test_receiver_load_filters_and_gain():
 
 def test_decimate_identity_factor():
     tx = TransmitterProfile()
-    trace = bus.synthesize_word(tx, [], 0x5A5A5A5A, seed=3)
+    trace = bus.synthesize_stream(tx, [], [0x5A5A5A5A], seed=3)
     out = bus.decimate(trace, factor=1, taps=31)
     assert out.sample_rate == trace.sample_rate
     assert np.allclose(out.samples, trace.samples, atol=1e-12)
@@ -144,9 +146,9 @@ def test_decimate_dc_preservation():
 def test_decimate_matches_direct_synthesis():
     # flat plateaus (no ringing): the anti-alias filter must be transparent
     tx = TransmitterProfile(noise_sigma=0.0, timing_jitter=0.0, overshoot_frac=0.0)
-    fast = bus.synthesize_word(tx, [], 0xA5A5A5A5, seed=0, sample_rate=50e6)
+    fast = bus.synthesize_stream(tx, [], [0xA5A5A5A5], seed=0, sample_rate=50e6)
     slow = bus.decimate(fast, factor=10, taps=30)
-    direct = bus.synthesize_word(tx, [], 0xA5A5A5A5, seed=0, sample_rate=5e6)
+    direct = bus.synthesize_stream(tx, [], [0xA5A5A5A5], seed=0, sample_rate=5e6)
     assert slow.sample_rate == direct.sample_rate
     for bit in range(0, 32, 3):
         lo, hi = _plateau_window(bit, tx)
@@ -154,9 +156,9 @@ def test_decimate_matches_direct_synthesis():
 
     # with ringing the filter smooths the ripples a little; means stay close
     ringing = TransmitterProfile(noise_sigma=0.0, timing_jitter=0.0)
-    fast = bus.synthesize_word(ringing, [], 0xA5A5A5A5, seed=0, sample_rate=50e6)
+    fast = bus.synthesize_stream(ringing, [], [0xA5A5A5A5], seed=0, sample_rate=50e6)
     slow = bus.decimate(fast, factor=10, taps=30)
-    direct = bus.synthesize_word(ringing, [], 0xA5A5A5A5, seed=0, sample_rate=5e6)
+    direct = bus.synthesize_stream(ringing, [], [0xA5A5A5A5], seed=0, sample_rate=5e6)
     for bit in range(0, 32, 3):
         lo, hi = _plateau_window(bit, ringing)
         assert abs(slow.samples[lo:hi].mean() - direct.samples[lo:hi].mean()) < 1e-2
@@ -164,7 +166,7 @@ def test_decimate_matches_direct_synthesis():
 
 def test_decimate_validation():
     tx = TransmitterProfile()
-    trace = bus.synthesize_word(tx, [], 0x0, seed=0)
+    trace = bus.synthesize_stream(tx, [], [0x0], seed=0)
     with pytest.raises(ValueError):
         bus.decimate(trace, factor=0, taps=30)
     with pytest.raises(ValueError):

@@ -259,6 +259,7 @@ BAD_FLAGS = [
     ("eval", "--rate", "0"), ("eval", "--rate", "-1"), ("eval", "--rate", "nan"),
     ("eval", "--rate", "inf"),
     ("markov", "--p", "1.5"), ("markov", "--p", "nan"), ("markov", "--t", "0"),
+    ("markov", "--t", "5000"),
     ("markov", "--rate", "0"), ("markov", "--rate", "-1"), ("markov", "--rate", "nan"),
     ("markov", "--flight-duration", "-5"), ("markov", "--flight-duration", "inf"),
     ("markov", "--target", "0"), ("markov", "--target", "1.5"),

@@ -34,13 +34,13 @@ def test_normal_word_classification(trained, noisy_word_bank):
 
 def test_vote_threshold_is_inclusive(trained, noisy_word_bank):
     _, bank = noisy_word_bank
-    is_anomaly, votes = det.classify_word(trained, bank[0])
-    assert not is_anomaly
+    labels, votes = det.classify_words(trained, bank[0:1])
+    assert not labels[0]
     pinned = det.WordDetector(
-        set_id=trained.set_id, t_votes=votes, models=trained.models,
+        set_id=trained.set_id, t_votes=int(votes[0]), models=trained.models,
         sample_interval=trained.sample_interval,
     )
-    assert det.classify_word(pinned, bank[0])[0]  # votes == t_votes -> anomaly
+    assert det.classify_words(pinned, bank[0:1])[0][0]  # votes == t_votes -> anomaly
 
 
 def test_vote_monotonicity(trained, noisy_word_bank):
@@ -64,9 +64,9 @@ def test_handcrafted_trains_eight_models(noisy_word_bank):
 def test_handcrafted_alternating_word_vote_universe(noisy_word_bank):
     values, bank = noisy_word_bank
     trained = det.train_detector(bank, FeatureSet.HANDCRAFTED, t_votes=90)
-    word = bank[values.index(0x55555555)]
-    _, votes = det.classify_word(trained, word)
-    assert 0 <= votes <= 96  # 31 nulls are skipped, not voted
+    i = values.index(0x55555555)
+    _, votes = det.classify_words(trained, bank[i : i + 1])
+    assert 0 <= votes[0] <= 96  # 31 nulls are skipped, not voted
 
 
 def test_training_is_deterministic(noisy_word_bank, tmp_path):
@@ -101,8 +101,21 @@ def test_insufficient_segments_is_an_error():
 
 
 def test_t_votes_range():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="t_votes"):
         det.train_detector([], FeatureSet.RAW, t_votes=128)
+
+
+def test_words_must_be_a_segment_table(trained, noisy_word_bank, monkeypatch):
+    _, bank = noisy_word_bank
+
+    def no_extraction(*args, **kwargs):
+        raise AssertionError("features extracted before the input was checked")
+
+    monkeypatch.setattr(features, "extract_batch", no_extraction)
+    with pytest.raises(TypeError, match="must be a SegmentTable, got list$"):
+        det.classify_words(trained, list(bank))
+    with pytest.raises(TypeError, match="must be a SegmentTable, got list$"):
+        det.train_detector(list(bank), FeatureSet.GENERIC, t_votes=100)
 
 
 # ---------------------------------------------------------------------------
@@ -145,11 +158,6 @@ def test_counter_invariants():
         SuspicionCounter(t_suspicion=0)
     with pytest.raises(ValueError):
         SuspicionCounter(t_suspicion=3, value=4)
-    # alarmed exactly at the threshold, as counter_step leaves it
-    with pytest.raises(ValueError, match="alarmed=False"):
-        SuspicionCounter(t_suspicion=4, value=4)
-    with pytest.raises(ValueError, match="alarmed=True"):
-        SuspicionCounter(t_suspicion=4, value=2, alarmed=True)
 
 
 def test_run_labels():
@@ -186,7 +194,7 @@ def test_run_labels_matches_oracle():
                 assert det.run_labels(counter, labels) == _stepped_alarm(counter, labels)
                 assert det.run_labels(counter, labels.tolist()) == _stepped_alarm(counter, labels)
             assert det.run_labels(counter, []) is None
-    alarmed = SuspicionCounter(t_suspicion=3, value=3, alarmed=True)
+    alarmed = SuspicionCounter(t_suspicion=3, value=3)
     for labels in ([False], [False, True, False], [True] * 5):
         assert det.run_labels(alarmed, labels) == 1 == _stepped_alarm(alarmed, labels)
     assert det.run_labels(alarmed, []) is None and _stepped_alarm(alarmed, []) is None

@@ -8,13 +8,8 @@ from a429ids.features import (
     POLY_DEGREES,
     RAW_LENGTHS,
     SegmentTooShort,
-    ExcludedSegmentType,
     extract,
     extract_batch,
-    extract_generic,
-    extract_handcrafted,
-    extract_polynomial,
-    extract_raw,
     feature_length,
 )
 from a429ids.segmentation import Segment, SegmentType, TRANSITION_TYPES
@@ -32,30 +27,30 @@ def _seg(seg_type, samples, start=0):
 
 def test_raw_truncates_hi_to_20():
     seg = _seg(SegmentType.HI, np.linspace(9.0, 10.0, 23))
-    out = extract_raw(seg)
+    out = extract(FeatureSet.RAW, seg)
     assert len(out) == 20
     assert np.array_equal(out, seg.samples[:20])
 
 
 def test_raw_exact_length_identity():
     seg = _seg(SegmentType.NULL_HH, np.arange(17.0))
-    assert np.array_equal(extract_raw(seg), seg.samples)
+    assert np.array_equal(extract(FeatureSet.RAW, seg), seg.samples)
 
 
 def test_raw_transition_takes_first_4():
     seg = _seg(SegmentType.UP_FROM_LO, [-7.0, -6.0, -5.0, -4.0, -3.0, -2.5])
-    assert np.array_equal(extract_raw(seg), [-7.0, -6.0, -5.0, -4.0])
+    assert np.array_equal(extract(FeatureSet.RAW, seg), [-7.0, -6.0, -5.0, -4.0])
 
 
 def test_raw_too_short():
     with pytest.raises(SegmentTooShort):
-        extract_raw(_seg(SegmentType.HI, np.ones(19)))
+        extract(FeatureSet.RAW, _seg(SegmentType.HI, np.ones(19)))
 
 
 def test_raw_is_prefix(noisy_word_bank):
     _, bank = noisy_word_bank
     for seg in bank[0]:
-        out = extract_raw(seg)
+        out = extract(FeatureSet.RAW, seg)
         assert np.array_equal(out, seg.samples[: len(out)])
 
 
@@ -64,12 +59,12 @@ def test_raw_is_prefix(noisy_word_bank):
 
 
 def test_generic_constant_segment():
-    out = extract_generic(_seg(SegmentType.HI, [5.0, 5.0, 5.0, 5.0]))
+    out = extract(FeatureSet.GENERIC, _seg(SegmentType.HI, [5.0, 5.0, 5.0, 5.0]))
     assert np.allclose(out, [5.0, 0.0, 0.0, 0.0, 0.0, 5.0, 5.0, 25.0], atol=1e-15)
 
 
 def test_generic_alternating_segment():
-    out = extract_generic(_seg(SegmentType.HI, [1.0, -1.0, 1.0, -1.0]))
+    out = extract(FeatureSet.GENERIC, _seg(SegmentType.HI, [1.0, -1.0, 1.0, -1.0]))
     assert np.allclose(out, [0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0], atol=1e-15)
 
 
@@ -77,7 +72,9 @@ def test_generic_identities():
     rng = np.random.default_rng(21)
     for _ in range(20):
         x = rng.normal(size=rng.integers(2, 30))
-        mu, sd, var, skew, kurt, rms, mx, en = extract_generic(_seg(SegmentType.LO, x))
+        mu, sd, var, skew, kurt, rms, mx, en = extract(
+            FeatureSet.GENERIC, _seg(SegmentType.LO, x)
+        )
         assert en == pytest.approx(rms**2, rel=1e-12)
         assert var == pytest.approx(sd * sd, rel=1e-12)
         assert mx == x.max()
@@ -86,14 +83,14 @@ def test_generic_identities():
 def test_generic_matches_naive_oracle(noisy_word_bank):
     _, bank = noisy_word_bank
     for seg in bank[3]:
-        got = extract_generic(seg)
+        got = extract(FeatureSet.GENERIC, seg)
         want = naive_generic(seg.samples)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def test_generic_too_short():
     with pytest.raises(SegmentTooShort):
-        extract_generic(_seg(SegmentType.HI, [1.0]))
+        extract(FeatureSet.GENERIC, _seg(SegmentType.HI, [1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +100,7 @@ def test_generic_too_short():
 def test_polynomial_recovers_parabola():
     t = np.linspace(0.0, 1.0, 6)
     seg = _seg(SegmentType.UP_FROM_NULL, t**2)
-    out = extract_polynomial(seg)
+    out = extract(FeatureSet.POLYNOMIAL, seg)
     assert len(out) == 4  # 3 coefficients + residual
     assert np.allclose(out[:3], [0.0, 0.0, 1.0], atol=1e-9)
     assert out[3] < 1e-12
@@ -111,7 +108,7 @@ def test_polynomial_recovers_parabola():
 
 def test_polynomial_constant():
     seg = _seg(SegmentType.HI, np.full(21, 5.0))
-    out = extract_polynomial(seg)
+    out = extract(FeatureSet.POLYNOMIAL, seg)
     assert np.allclose(out[:-1], [5.0] + [0.0] * 7, atol=1e-8)
     assert out[-1] < 1e-12
 
@@ -132,7 +129,7 @@ def test_polynomial_exactness_per_type(seg_type, degree):
     t = np.linspace(0.0, 1.0, n)
     coef = rng.uniform(-2, 2, size=degree + 1)
     y = sum(c * t**j for j, c in enumerate(coef))
-    out = extract_polynomial(_seg(seg_type, y))
+    out = extract(FeatureSet.POLYNOMIAL, _seg(seg_type, y))
     assert len(out) == degree + 2
     assert np.allclose(out[:-1], coef, atol=1e-9)
     assert out[-1] < 1e-12
@@ -141,14 +138,15 @@ def test_polynomial_exactness_per_type(seg_type, degree):
 def test_polynomial_residual_matches_normal_equations():
     rng = np.random.default_rng(33)
     y = 10.0 + 0.3 * rng.normal(size=21)
-    out = extract_polynomial(_seg(SegmentType.HI, y))
+    out = extract(FeatureSet.POLYNOMIAL, _seg(SegmentType.HI, y))
     _, want_resid = normal_equations_polyfit(y, 7)
     assert out[-1] == pytest.approx(want_resid, rel=1e-9)
 
 
 def test_polynomial_underdetermined():
     with pytest.raises(SegmentTooShort):
-        extract_polynomial(_seg(SegmentType.UP_FROM_LO, [1.0, 2.0]))  # 2 pts, degree 2
+        # 2 points, degree 2
+        extract(FeatureSet.POLYNOMIAL, _seg(SegmentType.UP_FROM_LO, [1.0, 2.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +156,7 @@ def test_polynomial_underdetermined():
 def test_handcrafted_scripted_ripple():
     dt = 2e-7
     samples = [9.0, 11.0, 10.6, 9.4, 9.8, 10.2, 10.0, 10.05, 10.0, 10.0]
-    out = extract_handcrafted(_seg(SegmentType.HI, samples), dt=dt)
+    out = extract(FeatureSet.HANDCRAFTED, _seg(SegmentType.HI, samples), dt=dt)
     t1, v1, t2, v2, t3, v3, dt21, dv21, dt31, dv31 = out
     assert (t1, v1) == (pytest.approx(1 * dt), 11.0)
     assert (t2, v2) == (pytest.approx(3 * dt), 9.4)
@@ -170,8 +168,8 @@ def test_handcrafted_scripted_ripple():
 def test_handcrafted_lo_is_mirror():
     dt = 2e-7
     hi_samples = np.array([9.0, 11.0, 10.6, 9.4, 9.8, 10.2, 10.0, 10.0])
-    lo_out = extract_handcrafted(_seg(SegmentType.LO, -hi_samples), dt=dt)
-    hi_out = extract_handcrafted(_seg(SegmentType.HI, hi_samples), dt=dt)
+    lo_out = extract(FeatureSet.HANDCRAFTED, _seg(SegmentType.LO, -hi_samples), dt=dt)
+    hi_out = extract(FeatureSet.HANDCRAFTED, _seg(SegmentType.HI, hi_samples), dt=dt)
     assert np.allclose(lo_out[0::2][:3], hi_out[0::2][:3])  # same times
     assert np.allclose(lo_out[1::2][:3], -hi_out[1::2][:3])  # mirrored voltages
 
@@ -179,7 +177,7 @@ def test_handcrafted_lo_is_mirror():
 def test_handcrafted_linear_transition():
     dt = 2e-7
     seg = _seg(SegmentType.UP_FROM_NULL, np.linspace(2.8, 8.0, 4))
-    slope, chord_dev = extract_handcrafted(seg, dt=dt)
+    slope, chord_dev = extract(FeatureSet.HANDCRAFTED, seg, dt=dt)
     assert slope == pytest.approx((8.0 - 2.8) / (3 * dt), rel=1e-12)
     assert chord_dev == pytest.approx(0.0, abs=1e-12)
 
@@ -187,7 +185,7 @@ def test_handcrafted_linear_transition():
 def test_handcrafted_monotone_fallback():
     dt = 2e-7
     seg = _seg(SegmentType.HI, np.linspace(9.0, 10.0, 12))
-    out = extract_handcrafted(seg, dt=dt)
+    out = extract(FeatureSet.HANDCRAFTED, seg, dt=dt)
     # no interior extremum: the global maximum stands in for all three points
     assert out[0] == pytest.approx(11 * dt) and out[1] == 10.0
     assert np.allclose(out[6:], 0.0)
@@ -196,25 +194,23 @@ def test_handcrafted_monotone_fallback():
 def test_handcrafted_plateau_takes_first_index():
     dt = 1.0
     seg = _seg(SegmentType.HI, [9.0, 11.0, 11.0, 9.5, 10.0, 9.8, 9.0])
-    out = extract_handcrafted(seg, dt=dt)
+    out = extract(FeatureSet.HANDCRAFTED, seg, dt=dt)
     assert out[0] == 1.0 and out[1] == 11.0
     assert out[2] == 3.0 and out[3] == 9.5
 
 
 def test_handcrafted_null_types(clean_segment_bank):
     hh = [s for s in clean_segment_bank[0xFFFFFFFF] if s.seg_type is SegmentType.NULL_HH]
-    out = extract_handcrafted(hh[3])
+    out = extract(FeatureSet.HANDCRAFTED, hh[3])
     assert len(out) == 2
     assert out[1] < 0.0  # the smile dips below the null level
     ll = [s for s in clean_segment_bank[0x00000000] if s.seg_type is SegmentType.NULL_LL]
-    out = extract_handcrafted(ll[3])
+    out = extract(FeatureSet.HANDCRAFTED, ll[3])
     assert out[1] > 0.0  # the frown peaks above it
 
 
 def test_handcrafted_excluded_types():
     seg = _seg(SegmentType.NULL_LH, np.zeros(17))
-    with pytest.raises(ExcludedSegmentType, match="^NULL_LH segments have no hand-crafted"):
-        extract_handcrafted(seg)
     assert extract(FeatureSet.HANDCRAFTED, seg) is None
     assert extract(FeatureSet.HANDCRAFTED, _seg(SegmentType.NULL_HL, np.zeros(17))) is None
 
@@ -315,7 +311,7 @@ _REFERENCES = {
     FeatureSet.RAW: _ref_raw,
     FeatureSet.GENERIC: _ref_generic,
     # a batch of one: a row's bits do not depend on its group
-    FeatureSet.POLYNOMIAL: lambda seg, dt: extract_polynomial(seg),
+    FeatureSet.POLYNOMIAL: lambda seg, dt: extract(FeatureSet.POLYNOMIAL, seg),
     FeatureSet.HANDCRAFTED: _ref_handcrafted,
 }
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -148,3 +149,24 @@ def test_validation_errors():
     for duration in (-5.0, float("inf")):
         with pytest.raises(ValueError, match=f"duration_s must be finite and >= 0, got {duration}"):
             markov.flight_false_alarm(0.4, 5, duration_s=duration)
+
+
+def test_chain_size_is_capped_before_allocation():
+    # a query holds about 200 * T**2 bytes: 5 GB at T=5000
+    cap = f"t_suspicion must be <= {markov.MAX_CHAIN_T} for a chain query, got 5000"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=cap):
+            markov.time_to_detect(0.4, 5000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    with pytest.raises(ValueError, match=cap):
+        markov.alarm_probability(0.4, 5000, 10)
+    with pytest.raises(ValueError, match=cap):
+        markov.flight_false_alarm(0.4, 5000)
+    with pytest.raises(ValueError, match=cap):
+        markov.time_to_detect_seconds(0.4, 5000)
+    # the cap itself is a valid threshold
+    assert markov.alarm_probability(0.4, markov.MAX_CHAIN_T, 1) == 0.0

@@ -72,8 +72,8 @@ def test_boundary_crossing_contract(clean_segment_bank):
     # spot-check the HI rule: starts strictly above v_h1, ends strictly
     # below v_h2, with the hysteresis sample just before each boundary
     th = Thresholds()
-    trace = bus.synthesize_word(
-        TransmitterProfile(noise_sigma=0.0, timing_jitter=0.0), [], 0xFFFFFFFF, seed=0
+    trace = bus.synthesize_stream(
+        TransmitterProfile(noise_sigma=0.0, timing_jitter=0.0), [], [0xFFFFFFFF], seed=0
     )
     segments = segmentation.segment_word(trace, 0)
     x = trace.samples
@@ -131,7 +131,7 @@ def test_threshold_validation():
 
 
 def test_word_start_bounds():
-    trace = bus.synthesize_word(TransmitterProfile(), [], 0x0, seed=0)
+    trace = bus.synthesize_stream(TransmitterProfile(), [], [0x0], seed=0)
     with pytest.raises(ValueError):
         segmentation.segment_word(trace, len(trace.samples) + 5)
 
