@@ -58,13 +58,6 @@ from .segmentation import (
     segment_stream,
     segment_word,
 )
-from .words import (
-    DEFAULT_WORD_SET,
-    from_bits_msb_first,
-    from_bits_wire_order,
-    parse_word,
-    to_bits_msb_first,
-    to_bits_wire_order,
-)
+from .words import DEFAULT_WORD_SET, parse_word
 
 __version__ = "0.1.0"

@@ -7,7 +7,9 @@ next bit. The null between two like bits gets a half-cosine bump (downward
 between two ones, upward between two zeros), reproducing the smile/frown
 morphology seen on real buses. Receiver loads act as cascaded one-pole
 low-pass filters on the line; white Gaussian measurement noise is added
-last. Output is deterministic for a given seed (PCG64).
+last. Output is deterministic for a given seed (PCG64). Each word goes out
+most significant bit first; ARINC 429's label-first wire order is not
+modelled.
 
 Words are rendered in blocks of `_BLOCK_WORDS`. Every word of the stream is
 validated before anything is drawn or painted. A block takes its bits with
@@ -28,7 +30,7 @@ stay a small fraction of the trace.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -330,7 +332,7 @@ def decimate(trace: Trace, factor: int, taps: int) -> Trace:
 
 
 # ---------------------------------------------------------------------------
-# JSON codecs for profiles, loads and trace files
+# JSON readers for profiles and loads, and the trace file format
 
 
 def _from_dict(cls, data: dict, what: str):
@@ -341,18 +343,10 @@ def _from_dict(cls, data: dict, what: str):
     return cls(**{k: float(v) for k, v in data.items()})
 
 
-def profile_to_dict(profile: TransmitterProfile) -> dict:
-    return asdict(profile)
-
-
 def profile_from_dict(data: dict) -> TransmitterProfile:
     profile = _from_dict(TransmitterProfile, data, "transmitter profile")
     profile.validate()
     return profile
-
-
-def load_to_dict(load: ReceiverLoad) -> dict:
-    return asdict(load)
 
 
 def load_from_dict(data: dict) -> ReceiverLoad:
@@ -386,6 +380,21 @@ def write_trace(trace: Trace, path, encoding: str = "f32le") -> None:
             fh.write(lines.encode("ascii"))
 
 
+def _csv_values(path, body: bytes) -> list[float]:
+    """The values of a CSV body's ``index,value`` rows, indices 0, 1, 2, ..."""
+    values = []
+    for i, line in enumerate(filter(None, body.decode("ascii", "replace").splitlines())):
+        index, _, value = line.partition(",")
+        try:
+            if int(index) == i:
+                values.append(float(value))
+                continue
+        except ValueError:
+            pass
+        raise ValueError(f"{path}: CSV row {i} must read '{i},<number>', got {line!r}")
+    return values
+
+
 def read_trace(path) -> Trace:
     """Read a trace file written by `write_trace`.
 
@@ -403,14 +412,13 @@ def read_trace(path) -> Trace:
         raise ValueError(f"{path}: trace header must have keys {sorted(_TRACE_HEADER_KEYS)}")
     encoding = header["encoding"]
     if encoding == "f32le":
-        # decoded from the file's bytes in place: no copy of the body
+        size = len(raw) - newline - 1
+        if size % 4:
+            raise ValueError(f"{path}: f32le body of {size} bytes ends inside sample {size // 4}")
+        # astype copies the body out of the file's bytes, so `del raw` frees them
         samples = np.frombuffer(raw, dtype="<f4", offset=newline + 1).astype(np.float32)
     elif encoding == "csv":
-        body = raw[newline + 1 :].decode("ascii")
-        samples = np.array(
-            [float(line.split(",")[1]) for line in body.splitlines() if line],
-            dtype=np.float64,
-        )
+        samples = np.array(_csv_values(path, raw[newline + 1 :]), dtype=np.float64)
     else:
         raise ValueError(f"{path}: unknown trace encoding {encoding!r}")
     del raw  # freed before the trace's own checks allocate

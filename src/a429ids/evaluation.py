@@ -353,13 +353,6 @@ def rx_addition_variant(setup: BusSetup, cutoff_freq: float = 8.0e6) -> BusSetup
 # JSON codecs
 
 
-def _setup_to_dict(setup: BusSetup) -> dict:
-    return {
-        "tx": bus.profile_to_dict(setup.tx),
-        "loads": [bus.load_to_dict(load) for load in setup.loads],
-    }
-
-
 def _setup_from_dict(data: dict) -> BusSetup:
     unknown = set(data) - {"tx", "loads"}
     if unknown:
@@ -376,19 +369,6 @@ _SCENARIO_KEYS = {
 }
 
 
-def scenario_to_dict(scenario: Scenario) -> dict:
-    return {
-        "attack_kind": scenario.attack_kind,
-        "guarded": _setup_to_dict(scenario.guarded),
-        "rogues": [_setup_to_dict(r) for r in scenario.rogues],
-        "words": [words_mod.format_word(w) for w in scenario.words],
-        "words_per_device": scenario.words_per_device,
-        "seed": scenario.seed,
-        "sample_rate": scenario.sample_rate,
-        "gap_bits": scenario.gap_bits,
-    }
-
-
 def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ValueError("scenario must be a JSON object")
@@ -402,9 +382,10 @@ def scenario_from_dict(data: dict) -> Scenario:
         guarded=_setup_from_dict(data["guarded"]),
         rogues=tuple(_setup_from_dict(d) for d in data["rogues"]),
         attack_kind=data.get("attack_kind", "tx_switch"),
-        words=tuple(words_mod.parse_word(w) for w in data.get(
-            "words", [words_mod.format_word(w) for w in words_mod.DEFAULT_WORD_SET]
-        )),
+        words=(
+            tuple(words_mod.parse_word(w) for w in data["words"])
+            if "words" in data else words_mod.DEFAULT_WORD_SET
+        ),
         words_per_device=int(data.get("words_per_device", DEFAULT_WORDS_PER_DEVICE)),
         seed=int(data.get("seed", 0)),
         sample_rate=(
@@ -419,11 +400,6 @@ def scenario_from_dict(data: dict) -> Scenario:
 def load_scenario(path) -> Scenario:
     with open(path) as fh:
         return scenario_from_dict(json.load(fh))
-
-
-def save_scenario(scenario: Scenario, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(scenario_to_dict(scenario), fh, sort_keys=True, indent=2)
 
 
 def report_to_dict(report: Report) -> dict:

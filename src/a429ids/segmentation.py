@@ -299,11 +299,3 @@ def segment_stream(trace, thresholds: Thresholds | None = None) -> SegmentTable:
     return _segment_words(
         trace.samples, word_starts, _window(trace), idx, code, range(len(word_starts))
     )
-
-
-def census(segments) -> dict[SegmentType, int]:
-    """Count segments by type."""
-    counts: dict[SegmentType, int] = {}
-    for seg in segments:
-        counts[seg.seg_type] = counts.get(seg.seg_type, 0) + 1
-    return counts

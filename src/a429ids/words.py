@@ -1,4 +1,4 @@
-"""32-bit bus word encoding helpers."""
+"""32-bit bus word values: the default word set, validation and parsing."""
 
 WORD_BITS = 32
 
@@ -14,10 +14,6 @@ DEFAULT_WORD_SET = (
     0xA5A5A5A5,
 )
 
-# Legacy transmission order: label field bits 8 down to 1 first, then 9
-# through 32. Bit 1 is the least significant bit of the word value.
-_WIRE_POSITIONS = tuple(range(8, 0, -1)) + tuple(range(9, 33))
-
 
 def check_word(value: int) -> int:
     """Validate that ``value`` fits in an unsigned 32-bit word."""
@@ -31,40 +27,3 @@ def check_word(value: int) -> int:
 def parse_word(text: str) -> int:
     """Parse a word value from hexadecimal text such as ``"0xA5A5A5A5"``."""
     return check_word(int(text, 16))
-
-
-def format_word(value: int) -> str:
-    check_word(value)
-    return f"0x{value:08X}"
-
-
-def to_bits_msb_first(value: int) -> list[int]:
-    """Bit list of a word, most significant bit first."""
-    check_word(value)
-    return [(value >> (WORD_BITS - 1 - i)) & 1 for i in range(WORD_BITS)]
-
-
-def from_bits_msb_first(bits) -> int:
-    """Reassemble a word from an MSB-first bit list."""
-    if len(bits) != WORD_BITS:
-        raise ValueError(f"expected {WORD_BITS} bits, got {len(bits)}")
-    value = 0
-    for b in bits:
-        value = (value << 1) | (int(b) & 1)
-    return value
-
-
-def to_bits_wire_order(value: int) -> list[int]:
-    """Bit list in the legacy wire order 8, 7, ..., 1, 9, 10, ..., 32."""
-    check_word(value)
-    return [(value >> (pos - 1)) & 1 for pos in _WIRE_POSITIONS]
-
-
-def from_bits_wire_order(bits) -> int:
-    """Reassemble a word from a wire-order bit list."""
-    if len(bits) != WORD_BITS:
-        raise ValueError(f"expected {WORD_BITS} bits, got {len(bits)}")
-    value = 0
-    for pos, b in zip(_WIRE_POSITIONS, bits):
-        value |= (int(b) & 1) << (pos - 1)
-    return value

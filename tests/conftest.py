@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import sys
 from pathlib import Path
 
@@ -7,6 +9,14 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from a429ids import bus, segmentation
 from a429ids.words import DEFAULT_WORD_SET
+
+
+def write_scenario(scenario, path):
+    """Write ``scenario`` as a JSON file that `evaluation.load_scenario` reads."""
+    record = dataclasses.asdict(scenario)
+    record["words"] = [f"0x{w:08X}" for w in scenario.words]
+    Path(path).write_text(json.dumps(record, sort_keys=True, indent=2))
+    return path
 
 
 @pytest.fixture(scope="session")

@@ -152,9 +152,22 @@ def renewal_detect_words(p, t_suspicion, target):
 _NULL_NAME = {(1, 1): "NULL_HH", (1, 0): "NULL_HL", (0, 0): "NULL_LL", (0, 1): "NULL_LH"}
 
 
+def msb_first_bits(word_value):
+    """The 32 bits of a word in the order synthesis sends them, MSB first."""
+    return [(word_value >> (31 - i)) & 1 for i in range(32)]
+
+
+def census(segments):
+    """Count segments by type."""
+    counts = {}
+    for seg in segments:
+        counts[seg.seg_type] = counts.get(seg.seg_type, 0) + 1
+    return counts
+
+
 def expected_segment_type_names(word_value):
     """Segment-type name sequence a clean word must produce, from its bits."""
-    bits = [(word_value >> (31 - i)) & 1 for i in range(32)]
+    bits = msb_first_bits(word_value)
     seq = []
     for i, b in enumerate(bits):
         if b:

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,9 @@ from a429ids import bus
 from a429ids.bus import ReceiverLoad, TransmitterProfile
 from a429ids.cli import main
 from a429ids.segmentation import Thresholds
-from a429ids.words import DEFAULT_WORD_SET, WORD_BITS, to_bits_msb_first
+from a429ids.words import DEFAULT_WORD_SET, WORD_BITS
+
+from oracles import msb_first_bits
 
 SPB = bus.DEFAULT_SAMPLES_PER_BIT
 
@@ -270,11 +273,11 @@ def test_trace_io_rejects_non_finite_samples(tmp_path, encoding, bad):
 
 def test_profile_json_codec():
     tx = TransmitterProfile(hi_volts=10.3, rise_time=2.0e-6)
-    assert bus.profile_from_dict(bus.profile_to_dict(tx)) == tx
+    assert bus.profile_from_dict(dataclasses.asdict(tx)) == tx
     with pytest.raises(ValueError):
         bus.profile_from_dict({"hi_volts": 10.0, "bogus": 1})
     load = ReceiverLoad(cutoff_freq=1.5e6, gain=0.98)
-    assert bus.load_from_dict(bus.load_to_dict(load)) == load
+    assert bus.load_from_dict(dataclasses.asdict(load)) == load
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +347,7 @@ def _reference_stream(tx, loads, word_values, gap_bits=4, seed=0, sample_rate=No
     fall_dur = tx.fall_time / bus._RAMP_10_90_FRACTION
     windows = []
     for k, value in enumerate(word_values):
-        bits = to_bits_msb_first(value)
+        bits = msb_first_bits(value)
         t0 = k * span_bits * bit_period
         jitter = rng.normal(0.0, tx.timing_jitter, size=(WORD_BITS, 2))
         rise_at = t0 + np.arange(WORD_BITS) * bit_period + jitter[:, 0]

@@ -9,6 +9,8 @@ from a429ids import bus, evaluation as ev, features, segmentation
 from a429ids.bus import ReceiverLoad, TransmitterProfile
 from a429ids.cli import main
 
+from conftest import write_scenario
+
 
 @pytest.fixture(scope="module")
 def scenario_path(tmp_path_factory):
@@ -24,7 +26,7 @@ def scenario_path(tmp_path_factory):
         words_per_device=500, seed=70,
     )
     path = tmp_path_factory.mktemp("cli") / "scenario.json"
-    ev.save_scenario(scenario, path)
+    write_scenario(scenario, path)
     return path
 
 
@@ -55,6 +57,44 @@ def test_segment_command(scenario_path, work):
     rows = _read_csv(out)
     assert rows[0] == ["word_index", "segment_index", "segment_type", "start_index", "length"]
     assert len(rows) - 1 == 40 * 127
+
+
+def _csv_body(rows):
+    """A 40-sample CSV trace body whose first four rows are ``rows``."""
+    rows = rows + [f"{i},0.0" for i in range(4, 40)]
+    return "".join(row + "\n" for row in rows).encode()
+
+
+# a spoilt body of a 40-sample trace, and the error that must name it
+MALFORMED_TRACES = {
+    "truncated f32le": (
+        "f32le", lambda body: body[:-2], "f32le body of 158 bytes ends inside sample 39",
+    ),
+    "row without a comma": (
+        "csv", lambda body: _csv_body(["0,1.0", "1 2.0", "2,3.0", "3,4.0"]),
+        "CSV row 1 must read '1,<number>', got '1 2.0'",
+    ),
+    "non-number": (
+        "csv", lambda body: _csv_body(["0,1.0", "1,2.0", "2,abc", "3,4.0"]),
+        "CSV row 2 must read '2,<number>', got '2,abc'",
+    ),
+    "rows out of order": (
+        "csv", lambda body: _csv_body(["0,1.0", "2,3.0", "1,2.0", "3,4.0"]),
+        "CSV row 1 must read '1,<number>', got '2,3.0'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_TRACES)
+def test_segment_rejects_malformed_trace(tmp_path, capsys, case):
+    encoding, spoil, message = MALFORMED_TRACES[case]
+    path = tmp_path / f"trace.{encoding}"
+    bus.write_trace(bus.Trace(5e6, 1e5, np.zeros(40), [0]), path, encoding=encoding)
+    header, body = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(header + b"\n" + spoil(body))
+    assert main(["segment", "--trace", str(path), "--out", str(tmp_path / "seg.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not (tmp_path / "seg.csv").exists()
 
 
 def test_features_command(scenario_path, work):

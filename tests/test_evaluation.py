@@ -8,7 +8,9 @@ import pytest
 from a429ids import evaluation as ev
 from a429ids.bus import ReceiverLoad, TransmitterProfile
 from a429ids.features import FeatureSet
+from a429ids.words import DEFAULT_WORD_SET
 
+from conftest import write_scenario
 from oracles import eer_bisect
 
 
@@ -252,19 +254,21 @@ def test_scenario_validation():
 
 def test_scenario_json_roundtrip(tmp_path):
     scenario = _scenario(rogue_tx=SEPARATED_TX, seed=54)
-    path = tmp_path / "scenario.json"
-    ev.save_scenario(scenario, path)
-    back = ev.load_scenario(path)
-    assert back == scenario
+    path = write_scenario(scenario, tmp_path / "scenario.json")
+    assert ev.load_scenario(path) == scenario
+    # a scenario without "words" sends the default word set
+    record = json.loads(path.read_text())
+    del record["words"]
+    assert ev.scenario_from_dict(record).words == DEFAULT_WORD_SET
 
 
 def test_scenario_rejects_unknown_keys(tmp_path):
-    scenario = _scenario()
-    record = ev.scenario_to_dict(scenario)
+    path = write_scenario(_scenario(), tmp_path / "scenario.json")
+    record = json.loads(path.read_text())
     record["typo_key"] = 1
     with pytest.raises(ValueError, match="unknown scenario"):
         ev.scenario_from_dict(record)
-    record = ev.scenario_to_dict(scenario)
+    record = json.loads(path.read_text())
     record["guarded"]["tx"]["bogus_field"] = 2.0
     with pytest.raises(ValueError, match="unknown"):
         ev.scenario_from_dict(record)

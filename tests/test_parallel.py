@@ -16,6 +16,8 @@ from a429ids import bus, detector, evaluation as ev, features, lof, parallel, se
 from a429ids.bus import ReceiverLoad, TransmitterProfile
 from a429ids.cli import main
 
+from conftest import write_scenario
+
 
 def test_workers_follow_affinity():
     if hasattr(os, "sched_getaffinity"):
@@ -92,7 +94,7 @@ def inputs(tmp_path_factory):
         attack_kind="rx_switch", words_per_device=500, seed=5,
     )
     scenario_path = work / "scenario.json"
-    ev.save_scenario(scenario, scenario_path)
+    write_scenario(scenario, scenario_path)
     for device, name, seed in (("guarded", "train.bin", "6"), ("rogue:0", "rogue.bin", "7")):
         assert main([
             "synth", "--scenario", str(scenario_path), "--device", device,

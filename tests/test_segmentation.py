@@ -6,10 +6,10 @@ import pytest
 
 from a429ids import bus, features, segmentation
 from a429ids.bus import ReceiverLoad, TransmitterProfile
-from a429ids.segmentation import MalformedSignal, SegmentType, Thresholds, census
+from a429ids.segmentation import MalformedSignal, SegmentType, Thresholds
 from a429ids.words import DEFAULT_WORD_SET
 
-from oracles import expected_segment_type_names
+from oracles import census, expected_segment_type_names
 from test_bus import _plant_at_rises
 
 

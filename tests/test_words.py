@@ -1,77 +1,50 @@
 import numpy as np
 import pytest
 
-from a429ids import words
+from a429ids import bus, words
+
+from oracles import msb_first_bits
 
 
-def test_msb_first_zero_and_ones():
-    assert words.to_bits_msb_first(0x00000000) == [0] * 32
-    assert words.to_bits_msb_first(0xFFFFFFFF) == [1] * 32
+def _sent_bits(values):
+    """Each word's bits as synthesis puts them on the bus, read from the
+    polarity of every bit's plateau."""
+    tx = bus.TransmitterProfile()
+    trace = bus.synthesize_stream(tx, [bus.ReceiverLoad()], values, seed=2)
+    at = np.arange(words.WORD_BITS) + 0.4  # past the rise ramp, before the fall
+    idx = trace.word_starts[:, None] + np.rint(at * trace.samples_per_bit).astype(np.int64)
+    return (trace.samples[idx] > tx.null_volts).astype(int).tolist()
 
 
 def test_msb_first_pattern():
-    assert words.to_bits_msb_first(0xA5A5A5A5) == [1, 0, 1, 0, 0, 1, 0, 1] * 4
+    assert _sent_bits([0xA5A5A5A5, 0x0000000F]) == [
+        [1, 0, 1, 0, 0, 1, 0, 1] * 4,
+        [0] * 28 + [1] * 4,
+    ]
 
 
 def test_msb_first_matches_bit_extraction_oracle():
     rng = np.random.default_rng(3)
-    for value in rng.integers(0, 2**32, size=200):
-        value = int(value)
-        bits = words.to_bits_msb_first(value)
-        assert bits == [(value >> (31 - i)) & 1 for i in range(32)]
-
-
-def test_msb_first_bijection():
-    rng = np.random.default_rng(4)
-    for value in [0, 1, 2**31, 0xFFFFFFFF] + [int(v) for v in rng.integers(0, 2**32, 100)]:
-        assert words.from_bits_msb_first(words.to_bits_msb_first(value)) == value
-
-
-def test_wire_order_zero_and_ones():
-    assert words.to_bits_wire_order(0x00000000) == [0] * 32
-    assert words.to_bits_wire_order(0xFFFFFFFF) == [1] * 32
-
-
-def test_wire_order_bit8_first():
-    # bit 8 (1-based, bit 1 = LSB) leads the wire sequence
-    assert words.to_bits_wire_order(1 << 7) == [1] + [0] * 31
-
-
-def test_wire_order_is_fixed_permutation_of_msb_first():
-    # derive the permutation from single-bit words, then check random words
-    perm = []
-    for pos in range(32):
-        probe = words.to_bits_wire_order(1 << (31 - pos))
-        perm.append(probe.index(1))
-    rng = np.random.default_rng(5)
-    for value in rng.integers(0, 2**32, size=100):
-        value = int(value)
-        msb = words.to_bits_msb_first(value)
-        wire = words.to_bits_wire_order(value)
-        assert all(wire[perm[i]] == msb[i] for i in range(32))
-
-
-def test_wire_order_bijection():
-    rng = np.random.default_rng(6)
-    for value in [0, 0xFFFFFFFF] + [int(v) for v in rng.integers(0, 2**32, 100)]:
-        assert words.from_bits_wire_order(words.to_bits_wire_order(value)) == value
+    values = [int(v) for v in rng.integers(0, 2**32, size=200)]
+    assert _sent_bits(values) == [msb_first_bits(v) for v in values]
 
 
 def test_word_range_checks():
+    assert words.check_word(0xFFFFFFFF) == 0xFFFFFFFF
     with pytest.raises(ValueError):
-        words.to_bits_msb_first(2**32)
+        words.check_word(2**32)
     with pytest.raises(ValueError):
-        words.to_bits_msb_first(-1)
+        words.check_word(-1)
     with pytest.raises(TypeError):
-        words.to_bits_msb_first("0x10")
-    with pytest.raises(ValueError):
-        words.from_bits_msb_first([0] * 31)
+        words.check_word("0x10")
+    with pytest.raises(TypeError):
+        words.check_word(True)
 
 
 def test_parse_and_format():
-    assert words.parse_word("0xA5A5A5A5") == 0xA5A5A5A5
+    # scenario files hold words formatted as 0x%08X
+    assert words.parse_word(f"0x{0xA5A5A5A5:08X}") == 0xA5A5A5A5
     assert words.parse_word("a5a5a5a5") == 0xA5A5A5A5
-    assert words.format_word(0xA5A5A5A5) == "0xA5A5A5A5"
     with pytest.raises(ValueError):
         words.parse_word("0x1A5A5A5A5")
 
