@@ -54,9 +54,7 @@ from .segmentation import (
     Segment,
     SegmentTable,
     SegmentType,
-    Thresholds,
     segment_stream,
-    segment_word,
 )
 from .words import DEFAULT_WORD_SET, parse_word
 

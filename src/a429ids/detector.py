@@ -24,7 +24,7 @@ import numpy as np
 
 from . import features, lof, markov
 from .features import DEFAULT_SAMPLE_INTERVAL, FeatureSet
-from .segmentation import SEGMENTS_PER_WORD, SegmentTable, SegmentType
+from .segmentation import SEGMENTS_PER_WORD, SegmentType
 
 # Names of a bundle's model members: <segment type>/<record field>.
 _MODEL_MEMBERS = {f"{t.value}/{name}" for t in SegmentType for name in lof.RECORD_FIELDS}
@@ -36,12 +36,6 @@ class WordDetector:
     t_votes: int
     models: dict[SegmentType, lof.LofModel]
     sample_interval: float = DEFAULT_SAMPLE_INTERVAL
-
-
-def _check_table(words) -> SegmentTable:
-    if not isinstance(words, SegmentTable):
-        raise TypeError(f"words must be a SegmentTable, got {type(words).__name__}")
-    return words
 
 
 def check_t_votes(t_votes: int) -> int:
@@ -67,8 +61,7 @@ def train_detector(
     replays the same word vocabulary); a type too rare to fit is an error.
     """
     t_votes = check_t_votes(t_votes)
-    table = _check_table(training_words)
-    pools = features.extract_batch(set_id, table, dt=sample_interval)
+    pools = features.extract_batch(set_id, training_words, dt=sample_interval)
     if not pools:
         raise ValueError("no training segments")
     models = {}
@@ -92,9 +85,8 @@ def classify_words(detector: WordDetector, words) -> tuple[np.ndarray, np.ndarra
     are grouped by type so each model scores one matrix; per-word results
     are scattered back afterwards.
     """
-    table = _check_table(words)
-    votes = np.zeros(len(table), dtype=np.int64)
-    grouped = features.extract_batch(detector.set_id, table, dt=detector.sample_interval)
+    grouped = features.extract_batch(detector.set_id, words, dt=detector.sample_interval)
+    votes = np.zeros(len(words), dtype=np.int64)
     for seg_type, (positions, vecs) in grouped.items():
         model = detector.models.get(seg_type)
         if model is None:

@@ -222,13 +222,11 @@ def compute_eer(curves: ErrorCurves) -> float:
     return float(0.5 * (far[t] + mdr[t]))
 
 
-def fa_per_sec(
-    eer: float, bit_rate: float = bus.DEFAULT_BIT_RATE, word_bits: float = WORD_OCCUPANCY_BITS
-) -> float:
+def fa_per_sec(eer: float, bit_rate: float = bus.DEFAULT_BIT_RATE) -> float:
     """False alarms per second: the EER times the message rate."""
     if not 0.0 <= eer <= 1.0:
         raise ValueError(f"eer must be in [0, 1], got {eer}")
-    return eer * bit_rate / word_bits
+    return eer * bit_rate / WORD_OCCUPANCY_BITS
 
 
 # ---------------------------------------------------------------------------

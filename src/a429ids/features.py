@@ -2,9 +2,8 @@
 polynomial fits and hand-picked shape landmarks.
 
 ``extract_batch`` is the one implementation of every feature set. It reads
-a batch as columns (type code, start, length over one sample array): a
-``SegmentTable``'s own, or those of a list of ``Segment`` objects over
-their concatenated samples. One stable ``np.lexsort`` on (type, length)
+a ``SegmentTable``'s columns (type code, start, length over the trace's
+samples), flat. One stable ``np.lexsort`` on (type, length)
 groups the segments, each group's matrix, one row per segment, is gathered
 straight from the samples as ``samples[start[:, None] + np.arange(length)]``,
 and one kernel runs per group:
@@ -24,8 +23,8 @@ and one kernel runs per group:
   chord), plateaus and like-bit nulls a loop over their landmarks.
 
 Within each type the rows come back in input order, which LOF's results
-depend on. ``extract``, the feature vector of one segment, is a batch of
-one. Every kernel runs on the calling thread.
+depend on. ``extract``, the feature vector of one ``Segment``, is a
+one-row table of one segment. Every kernel runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -263,51 +262,26 @@ def _group_rows(set_id: FeatureSet, seg_type: SegmentType, x: np.ndarray, dt: fl
     return _handcrafted_rows(seg_type, x, dt)
 
 
-def _columns(segments):
-    """``(samples, types, starts, lengths)`` of a batch of segments, flat.
-
-    A ``SegmentTable`` gives its own columns, read row-major; a sequence of
-    ``Segment`` objects gives columns over its concatenated samples, which
-    must be finite (a ``Trace`` checks its own samples).
-    """
-    if isinstance(segments, SegmentTable):
-        return (
-            segments.samples, segments.types.ravel(),
-            segments.starts.ravel(), segments.lengths.ravel(),
-        )
-    segments = list(segments)
-    lengths = np.array([len(seg.samples) for seg in segments], dtype=np.int64)
-    types = np.array([TYPE_CODES[seg.seg_type] for seg in segments], dtype=np.int8)
-    samples = np.concatenate([seg.samples for seg in segments]) if segments else np.empty(0)
-    starts = np.cumsum(lengths) - lengths
-    finite = np.isfinite(samples)
-    if not finite.all():
-        first = int(np.argmin(finite))
-        i = int(np.searchsorted(starts, first, side="right")) - 1
-        where = f"segment {i} sample {first - starts[i]}"
-        raise ValueError(f"samples must be finite; {where} is {samples[first]}")
-    return samples, types, starts, lengths
-
-
 def extract_batch(
-    set_id: FeatureSet, segments, dt: float = DEFAULT_SAMPLE_INTERVAL
+    set_id: FeatureSet, table: SegmentTable, dt: float = DEFAULT_SAMPLE_INTERVAL
 ) -> dict[SegmentType, tuple[np.ndarray, np.ndarray]]:
-    """Feature vectors of a batch of segments, by segment type.
+    """Feature vectors of the segments of a ``SegmentTable``, by segment type.
 
-    ``segments`` is a list of ``Segment`` objects or a ``SegmentTable``,
-    whose segments count word by word (position ``127 * word + segment``).
+    Segments count word by word (position ``127 * word + segment``).
     Returns ``{type: (positions, matrix)}``: row i of ``matrix`` is the
     vector of the segment at ``positions[i]``, and positions ascend, so each
     type's rows keep the input order. Types appear in the order of their
     first segment. Types the set excludes (the mixed-polarity nulls for
-    hand-crafted features) are left out. Before anything is computed, a
-    non-finite sample in a list of segments raises ``ValueError`` naming its
-    segment and sample, and a segment too short for its set raises
-    ``SegmentTooShort``, for the first such segment in input order.
+    hand-crafted features) are left out. Any input other than a table
+    raises ``TypeError`` before anything else runs; before anything is
+    computed, a segment too short for its set raises ``SegmentTooShort``,
+    for the first such segment in input order.
     """
+    if not isinstance(table, SegmentTable):
+        raise TypeError(f"segments must be a SegmentTable, got {type(table).__name__}")
     if not isinstance(set_id, FeatureSet):
         raise ValueError(f"unknown feature set {set_id!r}")
-    samples, types, starts, lengths = _columns(segments)
+    types, starts, lengths = table.types.ravel(), table.starts.ravel(), table.lengths.ravel()
     if len(types) == 0:
         return {}
     # one stable sort by (type, length): each group's positions ascend
@@ -336,7 +310,7 @@ def extract_batch(
             continue
         type_groups = list(type_groups)
         rows = np.concatenate([
-            _group_rows(set_id, seg_type, _gather(samples, starts[positions], n), dt)
+            _group_rows(set_id, seg_type, _gather(table.samples, starts[positions], n), dt)
             for _, n, positions in type_groups
         ])
         positions = np.concatenate([positions for _, _, positions in type_groups])
@@ -354,8 +328,19 @@ def _gather(samples: np.ndarray, starts: np.ndarray, n: int) -> np.ndarray:
 def extract(
     set_id: FeatureSet, segment: Segment, dt: float = DEFAULT_SAMPLE_INTERVAL
 ) -> np.ndarray | None:
-    """Feature vector of one segment, ``extract_batch`` on a batch of one;
-    None for a segment type the set excludes."""
-    for _, matrix in extract_batch(set_id, [segment], dt).values():
+    """Feature vector of one segment, a batch of one; None for a segment
+    type the set excludes. A non-finite sample raises ``ValueError`` naming
+    it (a ``Trace`` checks its own samples)."""
+    samples = segment.samples
+    finite = np.isfinite(samples)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        raise ValueError(f"samples must be finite; sample {first} is {samples[first]}")
+    table = SegmentTable(
+        samples, np.zeros(1, dtype=np.int64),
+        np.array([[TYPE_CODES[segment.seg_type]]], dtype=np.int8),
+        np.zeros((1, 1), dtype=np.int64), np.array([[len(samples)]], dtype=np.int64),
+    )
+    for _, matrix in extract_batch(set_id, table, dt).values():
         return matrix[0]
     return None

@@ -13,9 +13,8 @@ the state machine on plain ints, word by word, over the crossings inside
 each word's window. It returns a `SegmentTable`: three ``(n_words, 127)``
 arrays (type code, absolute start, length; 9 bytes a segment, the start
 and length held as int32 unless the trace reaches 2**31 samples) over the
-trace's own samples, which it does not copy. `segment_word` is the
-one-word case of the same loop, and the table builds a word's `Segment`
-objects, with copied samples, only when indexed.
+trace's own samples, which it does not copy. The table builds a word's
+`Segment` objects, with copied samples, only when indexed.
 """
 
 from __future__ import annotations
@@ -53,30 +52,23 @@ TRANSITION_TYPES = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class Thresholds:
-    v_l1: float = 2.0
-    v_l2: float = 2.8
-    v_h1: float = 8.0
-    v_h2: float = 7.2
-
-    def validate(self) -> None:
-        if not 0.0 < self.v_l1 < self.v_l2 < self.v_h2 < self.v_h1:
-            raise ValueError(
-                "thresholds must satisfy 0 < v_l1 < v_l2 < v_h2 < v_h1, got "
-                f"{self.v_l1}, {self.v_l2}, {self.v_h2}, {self.v_h1}"
-            )
+# The thresholds in volts: a null is left above V_L2 (below -V_L2) and
+# re-entered below V_L1 (above -V_L1); a plateau is entered above V_H1
+# (below -V_H1) and left below V_H2 (above -V_H2). They are float64 scalars
+# so that float32 samples are compared with them in float64: NumPy compares
+# a Python float with a float32 array in float32.
+V_L1, V_L2, V_H1, V_H2 = np.float64([2.0, 2.8, 8.0, 7.2])
 
 
 class MalformedSignal(ValueError):
-    """Crossing sequence inconsistent with any legal bit pattern."""
+    """Crossing sequence inconsistent with any legal bit pattern: the word
+    (its row in the trace) and the absolute sample where parsing gave up."""
 
-    def __init__(self, message: str, sample_index: int, word_index: int | None = None):
+    def __init__(self, message: str, sample_index: int, word_index: int):
         self.message = message
         self.sample_index = int(sample_index)
-        self.word_index = word_index
-        where = f"word {word_index}, " if word_index is not None else ""
-        super().__init__(f"{message} ({where}sample {self.sample_index})")
+        self.word_index = int(word_index)
+        super().__init__(f"{message} (word {self.word_index}, sample {self.sample_index})")
 
 
 @dataclass(slots=True)
@@ -92,19 +84,16 @@ _R_NEG_H2, _R_NEG_L1, _R_L2, _R_H1 = 0, 1, 2, 3
 _F_H2, _F_L1, _F_NEG_L2, _F_NEG_H1 = 10, 11, 12, 13
 
 
-def _crossings(x: np.ndarray, th: Thresholds):
+def _crossings(x: np.ndarray):
     """Sample indices and kind codes of all threshold crossings in ``x``.
 
     A crossing fires on the first sample strictly beyond the threshold when
     the previous sample was not (strict on the new sample, no interpolation).
-    Samples are compared with the thresholds in float64, float32 samples
-    too: a Python float against a float32 array would be rounded to float32.
     """
     prev, cur = x[:-1], x[1:]
     idx_parts, code_parts = [], []
-    v_l1, v_l2, v_h1, v_h2 = np.float64([th.v_l1, th.v_l2, th.v_h1, th.v_h2])
-    rises = ((_R_NEG_H2, -v_h2), (_R_NEG_L1, -v_l1), (_R_L2, v_l2), (_R_H1, v_h1))
-    falls = ((_F_H2, v_h2), (_F_L1, v_l1), (_F_NEG_L2, -v_l2), (_F_NEG_H1, -v_h1))
+    rises = ((_R_NEG_H2, -V_H2), (_R_NEG_L1, -V_L1), (_R_L2, V_L2), (_R_H1, V_H1))
+    falls = ((_F_H2, V_H2), (_F_L1, V_L1), (_F_NEG_L2, -V_L2), (_F_NEG_H1, -V_H1))
     for code, thr in rises:
         hits = np.nonzero((cur > thr) & (prev <= thr))[0] + 1
         idx_parts.append(hits)
@@ -196,23 +185,14 @@ class SegmentTable(Sequence):
             )
         ]
 
-    def __eq__(self, other):
-        # word by word, as lists of segments: an empty table == []
-        if not isinstance(other, (list, tuple, SegmentTable)):
-            return NotImplemented
-        return list(self) == list(other)
 
-    __hash__ = None
-
-
-def _segment_words(samples, word_starts, window, idx, code, word_indices) -> SegmentTable:
+def _segment_words(samples, word_starts, window, idx, code) -> SegmentTable:
     """Run the state machine over each word's crossings.
 
     ``idx`` and ``code`` are crossings with absolute sample indices, sorted
     as ``_crossings`` sorts them. A word starting at ``s`` parses those with
     ``s < idx < s + window``: the ones ``_crossings`` finds in the window
-    ``samples[s : s + window]`` alone. ``word_indices`` names each word in
-    a ``MalformedSignal``.
+    ``samples[s : s + window]`` alone.
     """
     n_words = len(word_starts)
     types = np.empty((n_words, SEGMENTS_PER_WORD), dtype=np.int8)
@@ -221,7 +201,7 @@ def _segment_words(samples, word_starts, window, idx, code, word_indices) -> Seg
     ends = np.empty(n_words, dtype=index_type)
     lo = np.searchsorted(idx, word_starts, side="right").tolist()
     hi = np.searchsorted(idx, word_starts + window, side="left").tolist()
-    for wi, (word_start, word_index) in enumerate(zip(word_starts.tolist(), word_indices)):
+    for wi, word_start in enumerate(word_starts.tolist()):
         word_idx = idx[lo[wi] : hi[wi]].tolist()
         word_types, seg_starts = [], []
         state = _LEAD
@@ -235,7 +215,7 @@ def _segment_words(samples, word_starts, window, idx, code, word_indices) -> Seg
             if closed is not None:
                 if i <= open_at:
                     raise MalformedSignal(
-                        f"degenerate {SEGMENT_TYPES[closed].value} segment", i, word_index
+                        f"degenerate {SEGMENT_TYPES[closed].value} segment", i, wi
                     )
                 word_types.append(closed)
                 seg_starts.append(open_at)
@@ -247,7 +227,7 @@ def _segment_words(samples, word_starts, window, idx, code, word_indices) -> Seg
         else:
             last = word_idx[-1] if word_idx else min(word_start + window, len(samples)) - 1
             raise MalformedSignal(
-                f"signal ended after {pulses} of {WORD_BITS} pulses", last, word_index
+                f"signal ended after {pulses} of {WORD_BITS} pulses", last, wi
             )
         types[wi] = word_types
         starts[wi] = seg_starts
@@ -258,44 +238,16 @@ def _segment_words(samples, word_starts, window, idx, code, word_indices) -> Seg
     return SegmentTable(samples, word_starts, types, starts, lengths)
 
 
-def _window(trace) -> int:
-    # One bit period beyond the word covers the closing transition; the
-    # minimum 4-bit gap guarantees the window never reaches the next word.
-    return math.ceil((WORD_BITS + 1) * trace.samples_per_bit)
-
-
-def segment_word(trace, word_start: int, thresholds: Thresholds | None = None,
-                 word_index: int | None = None) -> list[Segment]:
-    """Segment the word starting at ``word_start`` into its 127 pieces.
-
-    Raises MalformedSignal when the crossings cannot be parsed as 32 pulses
-    (for example a saturated or clipped stretch), reporting the absolute
-    sample index where parsing gave up.
-    """
-    th = thresholds if thresholds is not None else Thresholds()
-    th.validate()
-    word_start = int(word_start)
-    if not 0 <= word_start < len(trace.samples):
-        raise ValueError(f"word_start {word_start} out of range")
-    window = _window(trace)
-    idx, code = _crossings(trace.samples[word_start : word_start + window], th)
-    table = _segment_words(
-        trace.samples, np.array([word_start]), window, idx + word_start, code, [word_index]
-    )
-    return table[0]
-
-
-def segment_stream(trace, thresholds: Thresholds | None = None) -> SegmentTable:
+def segment_stream(trace) -> SegmentTable:
     """Segment every word of the trace into one ``SegmentTable``.
 
     Crossings are found once over the whole trace; each word then parses
-    the ones inside its own window, so every word segments exactly as
-    ``segment_word`` segments it at its start.
+    the ones inside its own window, which reaches one bit period past the
+    word's 32 bits to take in the closing transition (the minimum 4-bit
+    gap keeps it short of the next word). A word whose crossings cannot be
+    parsed as 32 pulses (a saturated or clipped stretch, say) raises
+    ``MalformedSignal``.
     """
-    th = thresholds if thresholds is not None else Thresholds()
-    th.validate()
-    idx, code = _crossings(trace.samples, th)
-    word_starts = trace.word_starts
-    return _segment_words(
-        trace.samples, word_starts, _window(trace), idx, code, range(len(word_starts))
-    )
+    idx, code = _crossings(trace.samples)
+    window = math.ceil((WORD_BITS + 1) * trace.samples_per_bit)
+    return _segment_words(trace.samples, trace.word_starts, window, idx, code)

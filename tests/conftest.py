@@ -3,6 +3,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -17,6 +18,19 @@ def write_scenario(scenario, path):
     record["words"] = [f"0x{w:08X}" for w in scenario.words]
     Path(path).write_text(json.dumps(record, sort_keys=True, indent=2))
     return path
+
+
+def segment_batch(segments):
+    """A one-row ``SegmentTable`` over the concatenated samples of a list of
+    ``Segment`` objects: ``features.extract_batch`` on it gives segment i
+    at position i."""
+    lengths = np.array([len(seg.samples) for seg in segments], dtype=np.int64)
+    types = np.array([segmentation.TYPE_CODES[seg.seg_type] for seg in segments], dtype=np.int8)
+    samples = np.concatenate([seg.samples for seg in segments]) if segments else np.empty(0)
+    starts = np.cumsum(lengths) - lengths
+    return segmentation.SegmentTable(
+        samples, np.zeros(1, dtype=np.int64), types[None], starts[None], lengths[None]
+    )
 
 
 @pytest.fixture(scope="session")

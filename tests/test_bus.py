@@ -7,7 +7,7 @@ import pytest
 from a429ids import bus
 from a429ids.bus import ReceiverLoad, TransmitterProfile
 from a429ids.cli import main
-from a429ids.segmentation import Thresholds
+from a429ids.segmentation import V_H2
 from a429ids.words import DEFAULT_WORD_SET, WORD_BITS
 
 from oracles import msb_first_bits
@@ -504,7 +504,7 @@ def test_f32_capture_gives_the_outputs_of_its_float64_samples(tmp_path):
     ]) == 0
     capture = bus.synthesize_stream(tx, [ReceiverLoad()], list(DEFAULT_WORD_SET) * 2, seed=4)
     samples = capture.samples.astype(np.float32)
-    assert _plant_at_rises(samples, -Thresholds().v_h2) > 0
+    assert _plant_at_rises(samples, -V_H2) > 0
     capture = bus.Trace(capture.sample_rate, capture.bit_rate, samples, capture.word_starts)
     for encoding in ("f32le", "csv"):
         bus.write_trace(capture, tmp_path / f"capture.{encoding}", encoding=encoding)

@@ -97,6 +97,25 @@ def test_segment_rejects_malformed_trace(tmp_path, capsys, case):
     assert not (tmp_path / "seg.csv").exists()
 
 
+def test_segment_names_a_malformed_word(tmp_path, capsys):
+    # the middle word flattened half way through: segmentation names the
+    # word and the sample where parsing gave up, and no CSV is written
+    trace = bus.synthesize_stream(TransmitterProfile(), [], [0x5A5A5A5A] * 3, seed=2)
+    start = int(trace.word_starts[1])
+    trace.samples[start + 400 : start + 1200] = 0.0
+    path = tmp_path / "trace.bin"
+    bus.write_trace(trace, path)
+    with pytest.raises(segmentation.MalformedSignal) as want:
+        segmentation.segment_stream(bus.read_trace(path))
+    sample = want.value.sample_index
+    assert want.value.word_index == 1 and start + 400 <= sample < int(trace.word_starts[2])
+    assert main(["segment", "--trace", str(path), "--out", str(tmp_path / "seg.csv")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {want.value.message} (word 1, sample {sample})\n"
+    )
+    assert not (tmp_path / "seg.csv").exists()
+
+
 def test_features_command(scenario_path, work):
     out = work / "features.csv"
     assert main([

@@ -14,6 +14,7 @@ from a429ids.features import (
 )
 from a429ids.segmentation import Segment, SegmentType, TRANSITION_TYPES
 
+from conftest import segment_batch
 from oracles import naive_generic, normal_equations_polyfit
 
 
@@ -343,7 +344,7 @@ def test_batch_bank_covers_every_type_in_several_lengths(shuffled_segments):
 @pytest.mark.parametrize("dt", [DEFAULT_SAMPLE_INTERVAL, 1.0 / 3.0])
 def test_batch_matches_per_segment_reference_bitwise(shuffled_segments, set_id, dt):
     reference = _REFERENCES[set_id]
-    out = extract_batch(set_id, shuffled_segments, dt=dt)
+    out = extract_batch(set_id, segment_batch(shuffled_segments), dt=dt)
     want_order = []
     for seg in shuffled_segments:
         if feature_length(set_id, seg.seg_type) and seg.seg_type not in want_order:
@@ -370,7 +371,7 @@ def test_batch_polynomial_matches_lstsq_within_tolerance(shuffled_segments):
         for seg_type in SegmentType for _ in range(3)
     ]
     segments = shuffled_segments + square
-    out = extract_batch(FeatureSet.POLYNOMIAL, segments)
+    out = extract_batch(FeatureSet.POLYNOMIAL, segment_batch(segments))
     for positions, matrix in out.values():
         want = np.array([_ref_polynomial(segments[i]) for i in positions])
         coef_err = np.abs(matrix[:, :-1] - want[:, :-1]).max(axis=1)
@@ -391,16 +392,31 @@ def test_batch_handcrafted_transition_with_flat_chord():
         _seg(SegmentType.UP_FROM_NULL, [3.0, 4.0, 6.0, 7.0, 7.5, 7.0, 6.0, 5.0, 4.0, 3.0]),
         _seg(SegmentType.UP_FROM_NULL, rising[::-1]),
     ]
-    (positions, matrix), = extract_batch(FeatureSet.HANDCRAFTED, segs, dt=dt).values()
+    out = extract_batch(FeatureSet.HANDCRAFTED, segment_batch(segs), dt=dt)
+    (positions, matrix), = out.values()
     assert positions.tolist() == [0, 1, 2]
     assert _same_bits(matrix, np.array([_ref_handcrafted(s, dt) for s in segs]))
 
 
 def test_batch_of_nothing_and_excluded_only():
-    assert extract_batch(FeatureSet.POLYNOMIAL, []) == {}
-    assert extract_batch(FeatureSet.HANDCRAFTED, [_seg(SegmentType.NULL_LH, np.zeros(17))]) == {}
+    assert extract_batch(FeatureSet.POLYNOMIAL, segment_batch([])) == {}
+    excluded = segment_batch([_seg(SegmentType.NULL_LH, np.zeros(17))])
+    assert extract_batch(FeatureSet.HANDCRAFTED, excluded) == {}
     with pytest.raises(ValueError, match="unknown feature set"):
-        extract_batch("raw", [])
+        extract_batch("raw", segment_batch([]))
+
+
+def test_batch_takes_a_segment_table_only(monkeypatch):
+    segments = [_seg(SegmentType.HI, np.linspace(9.0, 10.0, 22))] * 3
+
+    def no_kernel(*args):
+        raise AssertionError("a kernel ran before the input was checked")
+
+    monkeypatch.setattr(features, "_group_rows", no_kernel)
+    with pytest.raises(TypeError, match="must be a SegmentTable, got list$"):
+        extract_batch(FeatureSet.RAW, segments)
+    with pytest.raises(TypeError, match="must be a SegmentTable, got list$"):
+        extract_batch("raw", [])  # before the feature set is checked
 
 
 _GOOD_HI = np.linspace(9.0, 10.0, 22) + 0.01 * np.sin(np.arange(22.0))
@@ -434,26 +450,24 @@ def test_batch_raises_for_first_short_segment(monkeypatch, set_id, first, second
 
     monkeypatch.setattr(features, "_group_rows", no_kernel)
     with pytest.raises(SegmentTooShort) as exc:
-        extract_batch(set_id, segments)
+        extract_batch(set_id, segment_batch(segments))
     assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("set_id", list(FeatureSet), ids=lambda s: s.value)
 def test_batch_rejects_non_finite_samples(monkeypatch, set_id, bad):
-    segments = [_seg(SegmentType.HI, _GOOD_HI[: 20 + i % 3]) for i in range(6)]
-    for i in (3, 5):
-        samples = segments[i].samples.copy()
-        samples[7] = bad
-        segments[i] = _seg(SegmentType.HI, samples)
+    # a segment is not checked by a Trace: extract names its first bad sample
+    samples = _GOOD_HI.copy()
+    samples[[7, 12]] = bad
 
     def no_kernel(*args):
         raise AssertionError("a kernel ran before the samples were checked")
 
     monkeypatch.setattr(features, "_group_rows", no_kernel)
     with pytest.raises(ValueError) as exc:
-        extract_batch(set_id, segments)
-    assert str(exc.value) == f"samples must be finite; segment 3 sample 7 is {bad}"
+        extract(set_id, _seg(SegmentType.HI, samples))
+    assert str(exc.value) == f"samples must be finite; sample 7 is {bad}"
 
 
 @pytest.mark.parametrize("set_id", list(FeatureSet), ids=lambda s: s.value)
@@ -463,12 +477,14 @@ def test_batch_of_a_table_matches_its_segment_lists(noisy_word_bank, set_id):
     _, table = noisy_word_bank
     segments = [seg for word in table for seg in word]
     got = extract_batch(set_id, table, dt=1.0 / 3.0)
-    want = extract_batch(set_id, segments, dt=1.0 / 3.0)
+    want = extract_batch(set_id, segment_batch(segments), dt=1.0 / 3.0)
     assert list(got) == list(want)
     for seg_type, (positions, matrix) in want.items():
         assert _same_bits(got[seg_type][0], positions)
         assert _same_bits(got[seg_type][1], matrix)
     part = table[4:9]
     for seg_type, (positions, matrix) in extract_batch(set_id, part).items():
-        want_pos, want_matrix = extract_batch(set_id, segments[4 * 127 : 9 * 127])[seg_type]
+        want_pos, want_matrix = extract_batch(
+            set_id, segment_batch(segments[4 * 127 : 9 * 127])
+        )[seg_type]
         assert _same_bits(positions, want_pos) and _same_bits(matrix, want_matrix)

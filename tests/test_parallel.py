@@ -16,7 +16,7 @@ from a429ids import bus, detector, evaluation as ev, features, lof, parallel, se
 from a429ids.bus import ReceiverLoad, TransmitterProfile
 from a429ids.cli import main
 
-from conftest import write_scenario
+from conftest import segment_batch, write_scenario
 
 
 def test_workers_follow_affinity():
@@ -74,7 +74,7 @@ def test_polynomial_features_start_no_thread(monkeypatch):
     monkeypatch.setattr(parallel, "_pool", no_pool)
     x = np.random.default_rng(0).normal(size=(101, 20))
     segments = [segmentation.Segment(segmentation.SegmentType.HI, row, 0) for row in x]
-    out = features.extract_batch(features.FeatureSet.POLYNOMIAL, segments)
+    out = features.extract_batch(features.FeatureSet.POLYNOMIAL, segment_batch(segments))
     (positions, matrix), = out.values()
     assert positions.tolist() == list(range(101)) and matrix.shape == (101, 9)
 

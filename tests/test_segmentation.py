@@ -6,7 +6,7 @@ import pytest
 
 from a429ids import bus, features, segmentation
 from a429ids.bus import ReceiverLoad, TransmitterProfile
-from a429ids.segmentation import MalformedSignal, SegmentType, Thresholds
+from a429ids.segmentation import MalformedSignal, SegmentType
 from a429ids.words import DEFAULT_WORD_SET
 
 from oracles import census, expected_segment_type_names
@@ -69,20 +69,20 @@ def test_segments_tile_the_word(clean_segment_bank):
 
 
 def test_boundary_crossing_contract(clean_segment_bank):
-    # spot-check the HI rule: starts strictly above v_h1, ends strictly
-    # below v_h2, with the hysteresis sample just before each boundary
-    th = Thresholds()
+    # spot-check the HI rule: starts strictly above V_H1, ends strictly
+    # below V_H2, with the hysteresis sample just before each boundary
+    v_h1, v_h2 = segmentation.V_H1, segmentation.V_H2
     trace = bus.synthesize_stream(
         TransmitterProfile(noise_sigma=0.0, timing_jitter=0.0), [], [0xFFFFFFFF], seed=0
     )
-    segments = segmentation.segment_word(trace, 0)
+    segments = segmentation.segment_stream(trace)[0]
     x = trace.samples
     for seg in segments:
         if seg.seg_type is not SegmentType.HI:
             continue
         start, end = seg.start_index, seg.start_index + len(seg.samples)
-        assert x[start] > th.v_h1 and x[start - 1] <= th.v_h1
-        assert x[end] < th.v_h2 and x[end - 1] >= th.v_h2
+        assert x[start] > v_h1 and x[start - 1] <= v_h1
+        assert x[end] < v_h2 and x[end - 1] >= v_h2
 
 
 def test_noise_robustness():
@@ -101,7 +101,9 @@ def test_stream_of_six(clean_segment_bank):
 
 def test_empty_trace():
     trace = bus.synthesize_stream(TransmitterProfile(), [], [], seed=0)
-    assert segmentation.segment_stream(trace) == []
+    table = segmentation.segment_stream(trace)
+    assert len(table) == 0 and list(table) == []
+    assert table.types.shape == (0, 127)
 
 
 def test_corrupted_middle_word_reports_index():
@@ -119,21 +121,8 @@ def test_corrupted_middle_word_reports_index():
 def test_saturated_signal_is_malformed():
     trace = bus.Trace(5e6, 1e5, np.full(36 * 50, 12.0), [0])
     with pytest.raises(MalformedSignal) as err:
-        segmentation.segment_word(trace, 0)
-    assert err.value.sample_index >= 0
-
-
-def test_threshold_validation():
-    with pytest.raises(ValueError):
-        Thresholds(v_l1=3.0, v_l2=2.8).validate()
-    with pytest.raises(ValueError):
-        Thresholds(v_h2=8.5).validate()
-
-
-def test_word_start_bounds():
-    trace = bus.synthesize_stream(TransmitterProfile(), [], [0x0], seed=0)
-    with pytest.raises(ValueError):
-        segmentation.segment_word(trace, len(trace.samples) + 5)
+        segmentation.segment_stream(trace)
+    assert err.value.word_index == 0 and err.value.sample_index >= 0
 
 
 def test_segment_type_enum():
@@ -141,7 +130,17 @@ def test_segment_type_enum():
 
 
 # ---------------------------------------------------------------------------
-# the segment table against the one-word parser
+# the segment table against each word segmented alone
+
+
+def _segment_word(trace, start):
+    """The reference for the table's word at ``start``: ``segment_stream``
+    on a trace cut to that word's window, in which it is the only word."""
+    window = math.ceil(33 * trace.samples_per_bit)
+    alone = bus.Trace(
+        trace.sample_rate, trace.bit_rate, trace.samples[start : start + window], [0]
+    )
+    return segmentation.segment_stream(alone)
 
 
 def _same_words(got, want):
@@ -159,7 +158,7 @@ def test_table_words_equal_segment_word(noisy_trace):
     assert table.samples is trace.samples  # columns over the trace, not a copy
     assert table.types.shape == table.starts.shape == table.lengths.shape == (len(table), 127)
     for wi, start in enumerate(trace.word_starts.tolist()):
-        want = segmentation.segment_word(trace, start)
+        want = _segment_word(trace, start)[0]
         _same_words(table[wi], want)
         assert table.starts[wi].tolist() == [start + s.start_index for s in want]
         assert table.lengths[wi].tolist() == [len(s.samples) for s in want]
@@ -184,7 +183,7 @@ def test_crossing_on_a_words_first_sample_is_ignored():
     assert abs(trace.samples[start - 1]) < 1.0
     trace.samples[start] = -3.0
     table = segmentation.segment_stream(trace)
-    _same_words(table[1], segmentation.segment_word(trace, start))
+    _same_words(table[1], _segment_word(trace, start)[0])
     assert [s.seg_type.value for s in table[1]] == expected_segment_type_names(0xFFFFFFFF)
 
 
@@ -199,8 +198,8 @@ def test_last_word_window_past_the_end():
     table = segmentation.segment_stream(cut)
     for wi, (value, start) in enumerate(zip(DEFAULT_WORD_SET, full.word_starts.tolist())):
         assert [s.seg_type.value for s in table[wi]] == expected_segment_type_names(value)
-        _same_words(table[wi], segmentation.segment_word(cut, start))
-        _same_words(table[wi], segmentation.segment_word(full, start))
+        _same_words(table[wi], _segment_word(cut, start)[0])
+        _same_words(table[wi], _segment_word(full, start)[0])
 
 
 def test_corrupted_middle_word_raises_as_segment_word():
@@ -208,13 +207,14 @@ def test_corrupted_middle_word_raises_as_segment_word():
     start = int(trace.word_starts[1])
     trace.samples[start + 400 : start + 1200] = 0.0
     with pytest.raises(MalformedSignal) as want:
-        segmentation.segment_word(trace, start, word_index=1)
+        _segment_word(trace, start)
     with pytest.raises(MalformedSignal) as got:
         segmentation.segment_stream(trace)
-    assert str(got.value) == str(want.value)
+    # the cut trace counts words and samples from the word's start
     assert got.value.message == want.value.message
-    assert got.value.sample_index == want.value.sample_index
-    assert got.value.word_index == want.value.word_index == 1
+    assert got.value.sample_index == want.value.sample_index + start
+    assert (got.value.word_index, want.value.word_index) == (1, 0)
+    assert str(got.value) == f"{got.value.message} (word 1, sample {got.value.sample_index})"
 
 
 def test_table_memory_per_segment():
@@ -237,29 +237,27 @@ def test_table_memory_per_segment():
     assert held / (500 * 127) < 10
 
 
-@pytest.mark.parametrize("thresholds", [Thresholds(), Thresholds(v_h1=8.1)])
-def test_float32_samples_segment_as_their_float64_values(thresholds):
+def test_float32_samples_segment_as_their_float64_values():
     """A float32 trace gives the table, segments and features of the same
     values held as float64. Thresholds are compared in float64, so a sample
-    equal to float32(v_h1) = 8.1000004 crosses v_h1 = 8.1 where it lies."""
+    equal to float32(-7.2) = -7.1999998 crosses -V_H2 = -7.2 where it lies;
+    compared in float32, it would equal the threshold and not cross."""
     values = [DEFAULT_WORD_SET[i % 6] for i in range(24)]
     full = bus.synthesize_stream(TransmitterProfile(), [ReceiverLoad()], values, seed=12)
     samples = full.samples.astype(np.float32)
-    planted = thresholds.v_h1 != float(np.float32(thresholds.v_h1))
-    if planted:
-        assert _plant_at_rises(samples, thresholds.v_h1) > 0
+    assert _plant_at_rises(samples, -segmentation.V_H2) > 0
     narrow = bus.Trace(full.sample_rate, full.bit_rate, samples, full.word_starts)
     wide = bus.Trace(full.sample_rate, full.bit_rate, samples.astype(np.float64), full.word_starts)
     assert narrow.samples.dtype == np.float32 and wide.samples.dtype == np.float64
-    got = segmentation.segment_stream(narrow, thresholds)
-    want = segmentation.segment_stream(wide, thresholds)
+    got = segmentation.segment_stream(narrow)
+    want = segmentation.segment_stream(wide)
     for name in ("word_starts", "types", "starts", "lengths"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    if planted:
-        # each planted sample opens a HI plateau: the crossing fires on it
-        hits = np.flatnonzero(samples == np.float32(thresholds.v_h1))
-        hi_starts = got.starts[got.types == segmentation.TYPE_CODES[SegmentType.HI]]
-        assert np.isin(hits, hi_starts).all()
+    # each planted sample opens the rise out of a LO plateau: the crossing
+    # fires on it
+    hits = np.flatnonzero(samples == np.float32(-segmentation.V_H2))
+    up_starts = got.starts[got.types == segmentation.TYPE_CODES[SegmentType.UP_FROM_LO]]
+    assert np.isin(hits, up_starts).all()
     for wi in range(len(got)):
         _same_words(got[wi], want[wi])  # float64 samples, equal bytes
     for set_id in features.FeatureSet:
