@@ -237,15 +237,18 @@ def test_table_memory_per_segment():
     assert held / (500 * 127) < 10
 
 
-def test_float32_samples_segment_as_their_float64_values():
+@pytest.mark.parametrize("thresholds", [(), (-segmentation.V_H2,)])
+def test_float32_samples_segment_as_their_float64_values(thresholds):
     """A float32 trace gives the table, segments and features of the same
-    values held as float64. Thresholds are compared in float64, so a sample
-    equal to float32(-7.2) = -7.1999998 crosses -V_H2 = -7.2 where it lies;
-    compared in float32, it would equal the threshold and not cross."""
+    values held as float64, with and without samples planted at the given
+    thresholds. Thresholds are compared in float64, so a sample equal to
+    float32(-7.2) = -7.1999998 crosses -V_H2 = -7.2 where it lies; compared
+    in float32, it would equal the threshold and not cross."""
     values = [DEFAULT_WORD_SET[i % 6] for i in range(24)]
     full = bus.synthesize_stream(TransmitterProfile(), [ReceiverLoad()], values, seed=12)
     samples = full.samples.astype(np.float32)
-    assert _plant_at_rises(samples, -segmentation.V_H2) > 0
+    for threshold in thresholds:
+        assert _plant_at_rises(samples, threshold) > 0
     narrow = bus.Trace(full.sample_rate, full.bit_rate, samples, full.word_starts)
     wide = bus.Trace(full.sample_rate, full.bit_rate, samples.astype(np.float64), full.word_starts)
     assert narrow.samples.dtype == np.float32 and wide.samples.dtype == np.float64
@@ -253,11 +256,12 @@ def test_float32_samples_segment_as_their_float64_values():
     want = segmentation.segment_stream(wide)
     for name in ("word_starts", "types", "starts", "lengths"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    # each planted sample opens the rise out of a LO plateau: the crossing
-    # fires on it
-    hits = np.flatnonzero(samples == np.float32(-segmentation.V_H2))
-    up_starts = got.starts[got.types == segmentation.TYPE_CODES[SegmentType.UP_FROM_LO]]
-    assert np.isin(hits, up_starts).all()
+    if thresholds:
+        # each planted sample opens the rise out of a LO plateau: the
+        # crossing fires on it
+        hits = np.flatnonzero(samples == np.float32(-segmentation.V_H2))
+        up_starts = got.starts[got.types == segmentation.TYPE_CODES[SegmentType.UP_FROM_LO]]
+        assert np.isin(hits, up_starts).all()
     for wi in range(len(got)):
         _same_words(got[wi], want[wi])  # float64 samples, equal bytes
     for set_id in features.FeatureSet:
