@@ -57,7 +57,10 @@ def _write_csv(path, header: str, rows) -> None:
 
 def _read_table(path):
     trace = bus.read_trace(path)
-    return trace, segmentation.segment_stream(trace)
+    try:
+        return trace, segmentation.segment_stream(trace)
+    except segmentation.MalformedSignal as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _load_scenario(path: str) -> evaluation.Scenario:

@@ -35,12 +35,14 @@ from one partition along its rows:
   and select.
 - Above the cut - raw plateaus and nulls, 20 and 17 dimensions, where the
   tree is slower - blocks of query rows estimate their squared distances to
-  every training point with one float32 matrix product. Each row proposes
-  the points within its k-th smallest estimate plus twice a written rounding
-  bound, which holds for any BLAS summation order, so no neighbour is lost;
-  a row float32 cannot carry proposes every point. The k-th smallest
-  estimate is taken from the few columns within an upper bound on it, the
-  k-th smallest of 16-column group minima, not from a partition of the row.
+  every training point, less the row's own squared norm, with one float32
+  product against the training matrix folded into rows [-2 t | |t|^2].
+  Each row proposes the points within its k-th smallest estimate plus twice
+  a written rounding bound, which holds for any BLAS summation order, so no
+  neighbour is lost; a row float32 cannot carry proposes every point. The
+  k-th smallest estimate is taken from the few columns within an upper bound
+  on it, the k-th smallest of 16-column group minima, not from a partition
+  of the row.
 
 Both screens list each row's candidates by ascending training index, so the
 density and score sums add up in the same order and the two paths agree to
@@ -202,25 +204,36 @@ def _dense_pairs(queries, train, k, self_cols):
     its neighbour, or is None when the queries are not training points.
 
     For each block of query rows one float32 product estimates every squared
-    distance as e = |q|^2 + |t|^2 - 2 q.t, the squared norms summed in
-    float64 and rounded to float32. A row keeps each column with e at most
-    tau + 2 delta, tau being the row's k-th smallest estimate (its own column
-    left out), and ``_select`` recomputes and selects those columns exactly.
-    No neighbour is dropped, whatever order the product sums in:
+    distance less the row's own squared norm: with the training matrix folded
+    once into rows [-2 t | |t|^2], the product of [q | 1] with a folded row is
+    e = |t|^2 - 2 q.t = |q - t|^2 - |q|^2, |t|^2 summed in float64 and
+    rounded to float32. |q|^2 is the same for every column of a row, so the
+    row's order of columns is that of its squared distances. A row keeps
+    each column with e at most tau + 2 delta, tau being the row's k-th
+    smallest estimate (its own column left out), and ``_select`` recomputes
+    and selects those columns exactly. No neighbour is dropped, whatever
+    order the product sums in:
 
     - Let u = 2**-24, W = (|q| + max_t |t|)^2 and g(n) = n u / (1 - n u).
-      Rounding q and t to float32 moves q.t by at most (2u + u^2)|q||t|. The
-      product, summed in any order, adds at most g(d)(1 + u)^2 |q||t|. Each
-      rounded norm is off by at most 1.01u |q|^2 (or |t|^2). Each of the two
-      adds, in either order, rounds by at most u times a sum below
-      (1 + 3u + g(d)) W. With 2|q||t| <= W and |q|^2 + |t|^2 <= W,
-      |e - |q - t|^2| is at most (d + 5.01) u W plus terms of order
-      (d + 3)^2 u^2 W, below delta = g(d + 8) W + d 2**-120. The spare,
-      over 2.9 u W, covers cdist's own float64 rounding, ties made by its
-      square root and the float64 sums below; d 2**-120 covers float32
-      underflow, gradual or flushed to zero.
-    - The k columns estimated at or below tau lie within tau + delta, so the
-      k-distance does too, and a neighbour's estimate is at most tau + 2 delta.
+      -2 t in float32 is t rounded to float32 and doubled, which is exact
+      unless it overflows. Rounding q and t then moves each term -2 q_i t_i
+      by at most (2u + u^2) 2|q_i t_i|, so the d terms together by at most
+      (2u + u^2) 2|q||t|. |t|^2 is rounded to float32 once and is off by at
+      most 1.01u |t|^2. The (d + 1)-term product, summed in any order, adds
+      at most g(d + 1) times the sum of its terms' magnitudes, which is at
+      most (1 + u)^2 (2|q||t| + |t|^2). |q|^2 is never added, so it brings
+      no rounding, and the shift it leaves out is the same for every column
+      of the row. With |t|^2 + 2|q||t| <= W, |e - (|q - t|^2 - |q|^2)| is at
+      most (2u + u^2 + g(d + 1)(1 + u)^2) W: (d + 3) u W plus terms of order
+      (d + 3)^2 u^2 W, below delta = g(d + 8) W + d 2**-120. The spare, over
+      4.9 u W, covers cdist's own float64 rounding, ties made by its square
+      root and the float64 sums below; d 2**-120 covers float32 underflow,
+      gradual or flushed to zero: less than 2**-126 lost in each of the
+      2d + 1 rounded results, and less than 2**-125 |t_i| (or |q_i|) where
+      an input element is taken as zero.
+    - The k columns estimated at or below tau have |q - t|^2 at most
+      |q|^2 + tau + delta, so the squared k-distance does too, and a
+      neighbour's estimate is at most tau + 2 delta: |q|^2 cancels.
     - tau + 2 delta is summed in float64 and rounded up to float32, so the
       float32 comparison never rounds the bound down.
 
@@ -233,7 +246,9 @@ def _dense_pairs(queries, train, k, self_cols):
     full partition would give.
 
     A row whose W passes a quarter of float32's largest value could overflow
-    (non-finite inputs included), so it keeps its full row.
+    (non-finite inputs included), so it keeps its full row. Below that, no
+    folded entry, term or partial sum of the row's product comes near
+    float32's largest value.
 
     The query rows are cut into ``parallel.WORKERS`` contiguous blocks, one
     per thread, which give the same output to the bit for any count. Each
@@ -253,41 +268,36 @@ def _screen_rows(queries, train, k, self_cols):
 
 
 def _screen(train):
-    """The training matrix, its float32 copy and squared norms, its largest norm."""
+    """The training matrix, its folded float32 matrix [-2 t | |t|^2], its largest norm."""
     train_sq = np.einsum("ij,ij->i", train, train)
+    n, d = train.shape
+    folded = np.empty((n, d + 1), dtype=np.float32)
     with np.errstate(over="ignore"):
-        train32 = train.astype(np.float32)
-        train_sq32 = train_sq.astype(np.float32)
-    return train, train32, train_sq32, np.sqrt(train_sq.max())
+        folded[:, :d] = train
+        folded[:, :d] *= -2.0
+        folded[:, d] = train_sq
+    return train, folded, np.sqrt(train_sq.max())
 
 
 def _dense_block(index, queries, k, self_cols, screen):
     """``_dense_pairs`` for the query rows ``index``, numbered as in ``queries``.
 
-    ``screen`` is the training matrix, its float32 copy, its float32 squared
-    norms and its largest norm. This runs on the pool's threads, so it must
-    not submit to the pool.
+    ``screen`` is ``_screen``'s training matrix, folded float32 matrix and
+    largest norm. This runs on the pool's threads, so it must not submit to
+    the pool.
     """
-    train, train32, train_sq32, reach = screen
-    n, d = train.shape
-    gamma = (d + 8) * _U32 / (1.0 - (d + 8) * _U32)
+    train = screen[0]
+    n = len(train)
     found = []
     chunk = max(1, _CHUNK_ELEMENTS // (2 * n * parallel.WORKERS))
     for lo in range(0, len(index), chunk):
         part = index[lo : lo + chunk]
         q = queries[part]
         own = None if self_cols is None else self_cols[part]
-        q_sq = np.einsum("ij,ij->i", q, q)
-        w = (np.sqrt(q_sq) + reach) ** 2
-        with np.errstate(over="ignore", invalid="ignore"):
-            est = q.astype(np.float32) @ train32.T
-            est *= -2.0
-            est += q_sq.astype(np.float32)[:, None]
-            est += train_sq32
+        est, delta, full = _estimates(q, screen)
         if own is not None:
             est[np.arange(len(q)), own] = np.inf
-        slack = 2.0 * (gamma * w + d * 2.0**-120)
-        full = ~(w <= _F32_LIMIT)
+        slack = 2.0 * delta
         cand = est <= _round_up_f32(_tau_bound(est, k) + slack)[:, None]
         cand[full] = True
         flat = np.flatnonzero(cand)
@@ -302,6 +312,25 @@ def _dense_block(index, queries, k, self_cols, screen):
         kd, rows, cols, dist = _select(q, train, k, rows[keep], cols[keep], own)
         found.append((kd, part[rows], cols, dist))
     return tuple(np.concatenate(parts) for parts in zip(*found))
+
+
+def _estimates(q, screen):
+    """The screen's estimates for the query rows ``q``, with their bounds.
+
+    Returns the float32 estimates |t|^2 - 2 q.t, one row per query row and
+    one column per training point, each row's rounding bound delta, and
+    whether the row is too large for float32 and keeps every column (see
+    ``_dense_pairs``).
+    """
+    train, folded, reach = screen
+    d = train.shape[1]
+    w = (np.sqrt(np.einsum("ij,ij->i", q, q)) + reach) ** 2
+    gamma = (d + 8) * _U32 / (1.0 - (d + 8) * _U32)
+    lead = np.ones((len(q), d + 1), dtype=np.float32)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lead[:, :d] = q
+        est = lead @ folded.T
+    return est, gamma * w + d * 2.0**-120, ~(w <= _F32_LIMIT)
 
 
 def _tau_bound(est, k):

@@ -97,21 +97,28 @@ def test_segment_rejects_malformed_trace(tmp_path, capsys, case):
     assert not (tmp_path / "seg.csv").exists()
 
 
-def test_segment_names_a_malformed_word(tmp_path, capsys):
-    # the middle word flattened half way through: segmentation names the
-    # word and the sample where parsing gave up, and no CSV is written
+def _malformed_word_trace(path):
+    """A three-word trace whose middle word is flattened half way through;
+    returns the segmentation error it raises."""
     trace = bus.synthesize_stream(TransmitterProfile(), [], [0x5A5A5A5A] * 3, seed=2)
     start = int(trace.word_starts[1])
     trace.samples[start + 400 : start + 1200] = 0.0
-    path = tmp_path / "trace.bin"
     bus.write_trace(trace, path)
     with pytest.raises(segmentation.MalformedSignal) as want:
         segmentation.segment_stream(bus.read_trace(path))
     sample = want.value.sample_index
     assert want.value.word_index == 1 and start + 400 <= sample < int(trace.word_starts[2])
+    return want.value
+
+
+def test_segment_names_a_malformed_word(tmp_path, capsys):
+    # segmentation names the trace, the word and the sample where parsing
+    # gave up, and no CSV is written
+    path = tmp_path / "trace.bin"
+    error = _malformed_word_trace(path)
     assert main(["segment", "--trace", str(path), "--out", str(tmp_path / "seg.csv")]) == 1
     assert capsys.readouterr().err == (
-        f"error: {want.value.message} (word 1, sample {sample})\n"
+        f"error: {path}: {error.message} (word 1, sample {error.sample_index})\n"
     )
     assert not (tmp_path / "seg.csv").exists()
 
@@ -206,6 +213,21 @@ def test_train_and_run_roundtrip(scenario_path, work):
     ]) == 0
     rows = _read_csv(run_rogue)
     assert rows[-1][4] == "true"
+
+
+def test_run_names_a_malformed_run_trace(work, tmp_path, capsys):
+    # the bundle and its training trace are fine: the message names the trace
+    # being run, and no CSV is written
+    path = tmp_path / "run-trace.bin"
+    error = _malformed_word_trace(path)
+    assert main([
+        "run", "--model", str(work / "model.npz"), "--trace", str(path),
+        "--out", str(tmp_path / "run.csv"),
+    ]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: {error.message} (word 1, sample {error.sample_index})\n"
+    )
+    assert not (tmp_path / "run.csv").exists()
 
 
 def _bundle_record(path):

@@ -7,6 +7,8 @@ bit, whatever order the BLAS product sums in (CI also runs this file with a
 multi-threaded OpenBLAS).
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
@@ -173,6 +175,67 @@ def test_group_bound_is_loose_on_a_cluster_in_one_group():
     _assert_same(lof._dense_pairs(x, x, k, self_cols), _cdist_pairs(x, x, k, self_cols))
     q = np.vstack([x[near] + 1e-3, _queries(x)])
     _assert_same(lof._dense_pairs(q, x, k, None), _cdist_pairs(q, x, k, None))
+
+
+def _far_queries(x):
+    """Query rows at 1e2 to 1e18 times the data's spread from its points."""
+    rng = np.random.default_rng(56)
+    spread = float(x.std())
+    step = rng.normal(size=(18, x.shape[1]))
+    step /= np.linalg.norm(step, axis=1, keepdims=True)
+    scale = spread * 10.0 ** np.repeat(np.arange(2, 20, 2), 2)
+    return np.vstack([scale[:, None] * step, x[:18] + scale[:, None] * step])
+
+
+def _at_limit(x):
+    """Query rows whose W lies a relative 1e-9 below and above _F32_LIMIT."""
+    step = np.random.default_rng(57).normal(size=(4, x.shape[1]))
+    step /= np.linalg.norm(step, axis=1, keepdims=True)
+    reach = np.sqrt(np.einsum("ij,ij->i", x, x).max())
+    w = lof._F32_LIMIT * np.array([1 - 1e-9, 1 - 1e-9, 1 + 1e-9, 1 + 1e-9])
+    return (np.sqrt(w) - reach)[:, None] * step
+
+
+def _exact_error(est, q, t):
+    """|est + |q|^2 - |q - t|^2| in exact arithmetic."""
+    q, t = [Fraction(v) for v in q.tolist()], [Fraction(v) for v in t.tolist()]
+    q_sq = sum(a * a for a in q)
+    dist_sq = sum((a - b) ** 2 for a, b in zip(q, t))
+    return abs(Fraction(float(est)) + q_sq - dist_sq)
+
+
+def _near_limit():
+    # norms up to half the square root of _F32_LIMIT: the folded |t|^2
+    # column reaches a sixteenth of float32's largest value
+    x = np.random.default_rng(59).normal(size=(600, 20))
+    return x * (0.5 * np.sqrt(lof._F32_LIMIT) / np.linalg.norm(x, axis=1).max())
+
+
+_BOUND_DATA = {**_DATA, "norms near the limit": _near_limit}
+
+
+@pytest.mark.parametrize("name", sorted(_BOUND_DATA))
+def test_screen_bound_holds_for_far_and_limit_queries(name):
+    """The folded product's estimates miss |q - t|^2 - |q|^2 by at most
+    delta, checked exactly on sampled entries, and far queries and queries
+    on either side of the float32 limit still give cdist's neighbours."""
+    x = _BOUND_DATA[name]()
+    far, limit = _far_queries(x), _at_limit(x)
+    q = np.vstack([far, limit])
+    _assert_same(lof._dense_pairs(q, x, K, None), _cdist_pairs(q, x, K, None))
+
+    # on data whose own norms pass the limit, every row is too large
+    if np.einsum("ij,ij->i", x, x).max() < 0.5 * lof._F32_LIMIT:
+        _, _, full = lof._estimates(limit, lof._screen(x))
+        assert full.tolist() == [False, False, True, True]
+
+    q = np.vstack([_queries(x), far, limit])
+    est, delta, full = lof._estimates(q, lof._screen(x))
+    rng = np.random.default_rng(58)
+    rows = rng.choice(np.flatnonzero(~full), size=min(40, int((~full).sum())), replace=False)
+    for i in rows:
+        for j in [int(np.argmin(est[i])), *rng.integers(len(x), size=3).tolist()]:
+            assert _exact_error(est[i, j], q[i], x[j]) <= Fraction(float(delta[i])), (i, j)
 
 
 def _fit_and_score(x, q):
