@@ -119,6 +119,14 @@ class ReceiverLoad:
             raise ValueError(f"load gain must be positive: {self.gain}")
 
 
+def _check_rate(name, rate):
+    """Check a rate in Hz; returns it as a float."""
+    rate = float(rate)
+    if not (np.isfinite(rate) and rate > 0.0):
+        raise ValueError(f"{name} must be finite and > 0, got {rate}")
+    return rate
+
+
 class Trace:
     """Uniformly sampled differential voltage record with word markers.
 
@@ -127,8 +135,8 @@ class Trace:
     """
 
     def __init__(self, sample_rate, bit_rate, samples, word_starts):
-        self.sample_rate = float(sample_rate)
-        self.bit_rate = float(bit_rate)
+        self.sample_rate = _check_rate("sample_rate", sample_rate)
+        self.bit_rate = _check_rate("bit_rate", bit_rate)
         samples = np.asarray(samples)
         if samples.dtype != np.float32:
             samples = samples.astype(np.float64, copy=False)
@@ -422,8 +430,11 @@ def read_trace(path) -> Trace:
     else:
         raise ValueError(f"{path}: unknown trace encoding {encoding!r}")
     del raw  # freed before the trace's own checks allocate
-    if len(samples) != int(header["sample_count"]):
-        raise ValueError(
-            f"{path}: body has {len(samples)} samples, header says {header['sample_count']}"
-        )
-    return Trace(header["sample_rate"], header["bit_rate"], samples, header["word_starts"])
+    try:
+        if len(samples) != int(header["sample_count"]):
+            raise ValueError(
+                f"body has {len(samples)} samples, header says {header['sample_count']}"
+            )
+        return Trace(header["sample_rate"], header["bit_rate"], samples, header["word_starts"])
+    except (TypeError, ValueError) as exc:  # a header value of the wrong kind included
+        raise ValueError(f"{path}: {exc}") from exc

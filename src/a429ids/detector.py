@@ -46,6 +46,14 @@ def check_t_votes(t_votes: int) -> int:
     return t_votes
 
 
+def check_sample_interval(sample_interval: float) -> float:
+    """Check a sample interval in seconds; returns it as a float."""
+    sample_interval = float(sample_interval)
+    if not (np.isfinite(sample_interval) and sample_interval > 0.0):
+        raise ValueError(f"sample_interval must be finite and > 0, got {sample_interval}")
+    return sample_interval
+
+
 def train_detector(
     training_words,
     set_id: FeatureSet,
@@ -61,6 +69,7 @@ def train_detector(
     replays the same word vocabulary); a type too rare to fit is an error.
     """
     t_votes = check_t_votes(t_votes)
+    sample_interval = check_sample_interval(sample_interval)
     pools = features.extract_batch(set_id, training_words, dt=sample_interval)
     if not pools:
         raise ValueError("no training segments")
@@ -199,15 +208,14 @@ def detector_from_dict(data: dict) -> WordDetector:
         sample_interval = float(data.pop("sample_interval"))
     except KeyError as exc:
         raise ValueError(f"detector record missing key {exc}") from exc
-    try:
-        check_t_votes(t_votes)
-    except ValueError as exc:
-        raise ValueError(f"detector record field 't_votes' is {t_votes}: {exc}") from None
-    if not (np.isfinite(sample_interval) and sample_interval > 0.0):
-        raise ValueError(
-            f"detector record field 'sample_interval' is {sample_interval}, "
-            "must be finite and positive"
-        )
+    for name, check, value in (
+        ("t_votes", check_t_votes, t_votes),
+        ("sample_interval", check_sample_interval, sample_interval),
+    ):
+        try:
+            check(value)
+        except ValueError as exc:
+            raise ValueError(f"detector record field {name!r} is {value}: {exc}") from None
     records: dict[SegmentType, dict] = {}
     for key, value in data.items():
         if key not in _MODEL_MEMBERS:

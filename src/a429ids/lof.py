@@ -13,7 +13,7 @@ Neighbourhoods include every point tied at exactly the k-distance. When a
 point's reachability distances all collapse to zero (duplicated training
 points), its density is replaced by a large sentinel shared by fit and
 query paths, so clusters of duplicates score 1 rather than dividing by
-zero.
+zero. Fitting and scoring refuse non-finite points, naming the first.
 
 Fit and scoring share one exact neighbour search. Two screens propose
 candidates, chosen by the dimension alone, and one routine, ``_select``,
@@ -30,19 +30,17 @@ from one partition along its rows:
   the spare lies beyond the k-distance (by more than ``_TIE_SLACK``, which
   covers the tree's rounding) the row has all its neighbours. When it ties
   the k-distance, more ties may lie beyond it (duplicates, lattices), so
-  that row alone is searched again by the dense screen below. More spares
-  would spare some of those rows the screen, but widen every row's query
-  and select.
+  the tree counts the points within that distance and proposes that many
+  nearest points for the row again. More spares would spare some rows the
+  second query, but widen every row's query and select.
 - Above the cut - raw plateaus and nulls, 20 and 17 dimensions, where the
   tree is slower - blocks of query rows estimate their squared distances to
   every training point, less the row's own squared norm, with one float32
   product against the training matrix folded into rows [-2 t | |t|^2].
-  Each row proposes the points within its k-th smallest estimate plus twice
-  a written rounding bound, which holds for any BLAS summation order, so no
-  neighbour is lost; a row float32 cannot carry proposes every point. The
-  k-th smallest estimate is taken from the few columns within an upper bound
-  on it, the k-th smallest of 16-column group minima, not from a partition
-  of the row.
+  Each row proposes the points within an upper bound on its k-th smallest
+  estimate, the k-th smallest of 16-column group minima, plus twice a
+  written rounding bound, which holds for any BLAS summation order, so no
+  neighbour is lost; a row float32 cannot carry proposes every point.
 
 Both screens list each row's candidates by ascending training index, so the
 density and score sums add up in the same order and the two paths agree to
@@ -51,9 +49,9 @@ the bit.
 Both paths cut their query rows into ``parallel.WORKERS`` contiguous blocks
 with ``parallel.map_rows``, which is LOF's only parallel mechanism: the
 tree's queries run one thread each (scipy's ``workers`` is not used). A
-tree block queries, selects and redoes its own tie rows through the
-screen's serial entry, ``_screen_rows``, so no block submits to the pool.
-Both give the same output to the bit for any count.
+tree block queries, selects and redoes its own tie rows on its own thread,
+so no block submits to the pool. Both give the same output to the bit for
+any count.
 
 Neighbourhoods are flat (row, training index, distance) lists, one entry per
 neighbour: about k per point, more where ties widen a neighbourhood, so a
@@ -209,10 +207,10 @@ def _dense_pairs(queries, train, k, self_cols):
     e = |t|^2 - 2 q.t = |q - t|^2 - |q|^2, |t|^2 summed in float64 and
     rounded to float32. |q|^2 is the same for every column of a row, so the
     row's order of columns is that of its squared distances. A row keeps
-    each column with e at most tau + 2 delta, tau being the row's k-th
-    smallest estimate (its own column left out), and ``_select`` recomputes
-    and selects those columns exactly. No neighbour is dropped, whatever
-    order the product sums in:
+    each column with e at most tau' + 2 delta, tau' being ``_tau_bound``'s
+    upper bound on the row's k-th smallest estimate tau (its own column
+    left out), and ``_select`` recomputes and selects those columns
+    exactly. No neighbour is dropped, whatever order the product sums in:
 
     - Let u = 2**-24, W = (|q| + max_t |t|)^2 and g(n) = n u / (1 - n u).
       -2 t in float32 is t rounded to float32 and doubled, which is exact
@@ -233,22 +231,17 @@ def _dense_pairs(queries, train, k, self_cols):
       an input element is taken as zero.
     - The k columns estimated at or below tau have |q - t|^2 at most
       |q|^2 + tau + delta, so the squared k-distance does too, and a
-      neighbour's estimate is at most tau + 2 delta: |q|^2 cancels.
-    - tau + 2 delta is summed in float64 and rounded up to float32, so the
+      neighbour's estimate is at most tau + 2 delta <= tau' + 2 delta:
+      |q|^2 cancels.
+    - tau' + 2 delta is summed in float64 and rounded up to float32, so the
       float32 comparison never rounds the bound down.
 
-    tau is found without partitioning the whole row. ``_tau_bound`` gives an
-    upper bound tau' >= tau, the k-th smallest of the row's column-group
-    minima. The row first keeps every column with e at most tau' + 2 delta,
-    rounded up alike; that includes every column at or below tau, so the
-    k-th smallest estimate among the kept columns is tau itself, to the bit.
-    The kept columns are then cut to tau + 2 delta: the same columns as a
-    full partition would give.
+    ``_select`` is exact, so any superset of the neighbours that holds at
+    least k points is enough; the k columns at or below tau' make it one.
 
-    A row whose W passes a quarter of float32's largest value could overflow
-    (non-finite inputs included), so it keeps its full row. Below that, no
-    folded entry, term or partial sum of the row's product comes near
-    float32's largest value.
+    A row whose W passes a quarter of float32's largest value could
+    overflow, so it keeps its full row. Below that, no folded entry, term
+    or partial sum of the row's product comes near float32's largest value.
 
     The query rows are cut into ``parallel.WORKERS`` contiguous blocks, one
     per thread, which give the same output to the bit for any count. Each
@@ -260,11 +253,6 @@ def _dense_pairs(queries, train, k, self_cols):
     return parallel.map_rows(
         _dense_block, np.arange(len(queries)), queries, k, self_cols, _screen(train)
     )
-
-
-def _screen_rows(queries, train, k, self_cols):
-    """``_dense_pairs`` on the calling thread alone, for the tree's tie rows."""
-    return _dense_block(np.arange(len(queries)), queries, k, self_cols, _screen(train))
 
 
 def _screen(train):
@@ -297,19 +285,14 @@ def _dense_block(index, queries, k, self_cols, screen):
         est, delta, full = _estimates(q, screen)
         if own is not None:
             est[np.arange(len(q)), own] = np.inf
-        slack = 2.0 * delta
-        cand = est <= _round_up_f32(_tau_bound(est, k) + slack)[:, None]
-        cand[full] = True
-        flat = np.flatnonzero(cand)
-        del cand
-        e = est.ravel()[flat]
+        cand = est <= _round_up_f32(_tau_bound(est, k) + 2.0 * delta)[:, None]
         del est
+        cand[full] = True
+        flat = np.flatnonzero(cand)  # 2-d nonzero is several times slower
+        del cand
         rows, cols = np.divmod(flat, n)
         del flat
-        tau = _kth_smallest(rows, e, len(q), k)
-        keep = (e <= _round_up_f32(tau + slack)[rows]) | full[rows]
-        del e
-        kd, rows, cols, dist = _select(q, train, k, rows[keep], cols[keep], own)
+        kd, rows, cols, dist = _select(q, train, k, rows, cols, own)
         found.append((kd, part[rows], cols, dist))
     return tuple(np.concatenate(parts) for parts in zip(*found))
 
@@ -371,21 +354,19 @@ def _tree_block(index, queries, train, k, self_cols, tree):
     """``_tree_pairs`` for the query rows ``index``, numbered as in ``queries``.
 
     The block queries the tree, selects the neighbours among the candidates
-    and redoes its own tie rows through ``_screen_rows``, all on the thread
-    it runs on: it never submits to the pool.
+    and redoes its own tie rows with the tree, all on the thread it runs on:
+    it never submits to the pool. A tie row is queried again as wide as the
+    most points any of the tie rows has within its k-distance (plus
+    ``_TIE_SLACK``, which covers the tree's rounding), so its candidates
+    hold every tied point.
     """
     n = len(train)
     q = queries[index]
     own = None if self_cols is None else self_cols[index]
     width = min(n, k + _TREE_EXTRA + int(own is not None))
-    cand_dist, cand = tree.query(q, k=width)
-    farthest = cand_dist[:, -1].copy()
-    del cand_dist
-    cand.sort(axis=1)
-    kd, rows, cols, dist = _select(q, train, k, np.arange(len(q))[:, None], cand, own)
-    del cand
+    farthest, kd, rows, cols, dist = _tree_select(q, train, k, own, tree, width)
     # a row whose farthest candidate ties its k-distance may have more ties
-    # beyond the candidates: the screen searches it in full
+    # beyond the candidates: the tree searches it again, wide enough for all
     redo = np.empty(0, dtype=np.int64)
     if width < n:
         redo = np.flatnonzero(farthest <= kd * (1.0 + _TIE_SLACK))
@@ -393,8 +374,11 @@ def _tree_block(index, queries, train, k, self_cols, tree):
         keep = np.ones(len(q), dtype=bool)
         keep[redo] = False
         keep = keep[rows]
-        r_kd, r_rows, r_cols, r_dist = _screen_rows(
-            q[redo], train, k, None if own is None else own[redo]
+        r_q = q[redo]
+        radius = kd[redo] * (1.0 + _TIE_SLACK)
+        wide = int(tree.query_ball_point(r_q, radius, return_length=True).max())
+        _, r_kd, r_rows, r_cols, r_dist = _tree_select(
+            r_q, train, k, None if own is None else own[redo], tree, wide
         )
         kd[redo] = r_kd
         rows = np.concatenate([rows[keep], redo[r_rows]])
@@ -403,6 +387,19 @@ def _tree_block(index, queries, train, k, self_cols, tree):
         cols = np.concatenate([cols[keep], r_cols])[order]
         dist = np.concatenate([dist[keep], r_dist])[order]
     return kd, index[rows], cols, dist
+
+
+def _tree_select(q, train, k, own, tree, width):
+    """The ``width`` nearest points of each row by the tree, then ``_select``.
+
+    Returns each row's farthest candidate's tree distance, then
+    ``_select``'s (kdist, row, col, dist), rows numbered as in ``q``.
+    """
+    cand_dist, cand = tree.query(q, k=width)
+    farthest = cand_dist[:, -1].copy()
+    del cand_dist
+    cand.sort(axis=1)
+    return farthest, *_select(q, train, k, np.arange(len(q))[:, None], cand, own)
 
 
 def _neighbours(queries, train, k, tree=None, self_rows=False):
@@ -433,6 +430,14 @@ def _lrd(mean_reach):
     return lrd
 
 
+def _check_finite(points, what):
+    """Raise a ValueError naming the first non-finite entry of ``points``."""
+    finite = np.isfinite(points)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise ValueError(f"{what} must be finite; row {row}, column {col} is {points[row, col]}")
+
+
 def check_k(k: int) -> int:
     """Check `fit`'s neighbour count; returns it as an int."""
     k = int(k)
@@ -453,6 +458,7 @@ def fit(points, k: int = DEFAULT_K, contamination: float = DEFAULT_CONTAMINATION
     x = np.asarray(points, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"training points must be a 2-d array, got shape {x.shape}")
+    _check_finite(x, "training points")
     n = x.shape[0]
     k, contamination = check_k(k), check_contamination(contamination)
     if n < k + 2:
@@ -487,6 +493,7 @@ def score(model: LofModel, queries) -> np.ndarray:
     q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if q.shape[1] != model.dim:
         raise ValueError(f"query dimension {q.shape[1]} != model dimension {model.dim}")
+    _check_finite(q, "query points")
     z = (q - model.mean) / model.scale
     if len(z) == 0:
         return np.empty(0)
@@ -514,6 +521,9 @@ def model_from_dict(data: dict) -> LofModel:
         arrays = {name: np.asarray(data[name], dtype=np.float64) for name in RECORD_FIELDS[2:]}
     except KeyError as exc:
         raise ValueError(f"model record missing key {exc}") from exc
+    for name, value in (("threshold", threshold), *arrays.items()):
+        if not np.isfinite(value).all():
+            raise ValueError(f"model record field {name!r} must be finite")
     train = arrays["train"]
     if train.ndim != 2:
         raise ValueError(f"model record field 'train' must be 2-d, got shape {train.shape}")

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -239,6 +240,40 @@ def test_trace_keeps_float32_and_widens_the_rest():
     assert bus.Trace(5e6, 1e5, np.zeros(10, dtype=np.float32), [0]).samples.dtype == np.float32
     for samples in (np.zeros(10, dtype=np.float16), np.zeros(10, dtype=np.int64), [0.0] * 10):
         assert bus.Trace(5e6, 1e5, samples, [0]).samples.dtype == np.float64
+
+
+# a trace header value, and the error that must name it
+BAD_TRACE_HEADERS = {
+    "negative sample_rate": (
+        "sample_rate", -5e6, "sample_rate must be finite and > 0, got -5000000.0"
+    ),
+    "nan sample_rate": ("sample_rate", float("nan"), "sample_rate must be finite and > 0, got nan"),
+    "zero bit_rate": ("bit_rate", 0, "bit_rate must be finite and > 0, got 0.0"),
+    "inf bit_rate": ("bit_rate", float("inf"), "bit_rate must be finite and > 0, got inf"),
+    "word start past the end": ("word_starts", [0, 40], "word_starts out of bounds"),
+    "sample_count not a number": (
+        "sample_count", "forty", "invalid literal for int() with base 10: 'forty'"
+    ),
+}
+
+
+def write_bad_header_trace(path, case):
+    """A 40-sample trace whose header has ``case``'s value; returns its error."""
+    name, value, message = BAD_TRACE_HEADERS[case]
+    bus.write_trace(bus.Trace(5e6, 1e5, np.zeros(40), [0]), path)
+    header, body = path.read_bytes().split(b"\n", 1)
+    header = json.dumps({**json.loads(header), name: value}).encode("ascii")
+    path.write_bytes(header + b"\n" + body)
+    return message
+
+
+@pytest.mark.parametrize("case", BAD_TRACE_HEADERS)
+def test_trace_io_rejects_bad_header_values(tmp_path, case):
+    path = tmp_path / "trace.bin"
+    message = write_bad_header_trace(path, case)
+    with pytest.raises(ValueError) as error:
+        bus.read_trace(path)
+    assert str(error.value) == f"{path}: {message}"
 
 
 def test_trace_io_rejects_garbage(tmp_path):

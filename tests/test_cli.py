@@ -10,6 +10,7 @@ from a429ids.bus import ReceiverLoad, TransmitterProfile
 from a429ids.cli import main
 
 from conftest import write_scenario
+from test_bus import BAD_TRACE_HEADERS, write_bad_header_trace
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +93,15 @@ def test_segment_rejects_malformed_trace(tmp_path, capsys, case):
     bus.write_trace(bus.Trace(5e6, 1e5, np.zeros(40), [0]), path, encoding=encoding)
     header, body = path.read_bytes().split(b"\n", 1)
     path.write_bytes(header + b"\n" + spoil(body))
+    assert main(["segment", "--trace", str(path), "--out", str(tmp_path / "seg.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not (tmp_path / "seg.csv").exists()
+
+
+@pytest.mark.parametrize("case", BAD_TRACE_HEADERS)
+def test_segment_rejects_bad_trace_header(tmp_path, capsys, case):
+    path = tmp_path / "trace.bin"
+    message = write_bad_header_trace(path, case)
     assert main(["segment", "--trace", str(path), "--out", str(tmp_path / "seg.csv")]) == 1
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
     assert not (tmp_path / "seg.csv").exists()

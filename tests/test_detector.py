@@ -281,6 +281,16 @@ def test_bundle_is_independent_of_the_search_tree(tmp_path, noisy_word_bank, mon
         assert np.array_equal(lof.score(loaded, vecs), lof.score(model, vecs))
 
 
+@pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan, np.inf])
+def test_training_rejects_bad_sample_interval(noisy_word_bank, bad, monkeypatch):
+    # checked before extraction, with the check loading uses, so no bundle
+    # that loading would reject is ever written
+    _, bank = noisy_word_bank
+    monkeypatch.setattr(features, "extract_batch", None)
+    with pytest.raises(ValueError, match=f"^sample_interval must be finite and > 0, got {bad}$"):
+        det.train_detector(bank, FeatureSet.GENERIC, t_votes=100, sample_interval=bad)
+
+
 def _npz(**changes):
     """Bundle writer: the record with ``changes`` applied, saved by np.savez."""
     return lambda path, record: np.savez(path, **{**record, **changes})

@@ -139,6 +139,26 @@ def test_validation_errors():
         lof.score(model, rng.normal(size=(3, 5)))
 
 
+@pytest.mark.parametrize("dim", [4, 20])
+def test_non_finite_points_are_rejected(dim):
+    # both neighbour paths: a NaN training point would make the threshold
+    # NaN, and a NaN query would score NaN and vote normal
+    rng = np.random.default_rng(19)
+    x = rng.normal(size=(60, dim))
+    assert (dim > lof._TREE_MAX_DIM) == (lof._build_tree(x) is None)
+    bad = x.copy()
+    bad[7, 2] = np.nan
+    with pytest.raises(ValueError, match=r"^training points must be finite; row 7, column 2 is nan$"):
+        lof.fit(bad, k=20)
+    model = lof.fit(x, k=20)
+    q = rng.normal(size=(5, dim))
+    q[3, 1] = -np.inf
+    with pytest.raises(ValueError, match=r"^query points must be finite; row 3, column 1 is -inf$"):
+        lof.score(model, q)
+    with pytest.raises(ValueError, match="query points must be finite"):
+        lof.classify(model, q)
+
+
 def _through_npz(record):
     """The record written to an in-memory .npz archive and read back."""
     buffer = io.BytesIO()
@@ -180,6 +200,8 @@ _CORRUPTIONS = {
     "train_scores 2-d": ("train_scores", lambda r: r.update(train_scores=r["train_scores"][None])),
     "mean short": ("mean", lambda r: r.update(mean=r["mean"][:-1])),
     "scale long": ("scale", lambda r: r.update(scale=np.append(r["scale"], 1.0))),
+    "threshold nan": ("threshold", lambda r: r.update(threshold=np.nan)),
+    "lrd inf": ("lrd", lambda r: r["lrd"].__setitem__(3, np.inf)),
 }
 
 
@@ -221,11 +243,21 @@ _PATH_DATA = {
 @pytest.mark.parametrize("name", sorted(_PATH_DATA))
 def test_tree_and_dense_paths_agree_bitwise(name, workers, monkeypatch):
     monkeypatch.setattr(parallel, "WORKERS", workers)
+    redo_calls = []
+
+    class CountingTree(lof.cKDTree):
+        # a tie row is searched again: query_ball_point sizes its new query
+        def query_ball_point(self, *args, **kwargs):
+            redo_calls.append(1)
+            return super().query_ball_point(*args, **kwargs)
+
+    monkeypatch.setattr(lof, "cKDTree", CountingTree)
     x = _PATH_DATA[name]()
     rng = np.random.default_rng(32)
     queries = np.vstack([x[::7], x[:40] + 0.5, rng.normal(size=(50, x.shape[1]))])
     assert x.shape[1] <= lof._TREE_MAX_DIM
     tree_model = lof.fit(x, k=20)
+    assert isinstance(tree_model.tree, CountingTree)
     assert tree_model.tree is not None
     monkeypatch.setattr(lof, "_TREE_MAX_DIM", 0)
     dense_model = lof.fit(x, k=20)
@@ -233,22 +265,14 @@ def test_tree_and_dense_paths_agree_bitwise(name, workers, monkeypatch):
 
     z = tree_model.train
     zq = (queries - tree_model.mean) / tree_model.scale
-    screen_rows = lof._screen_rows
-    redo_rows = []
-
-    def counting_screen_rows(q, *args):
-        redo_rows.append(len(q))
-        return screen_rows(q, *args)
-
+    redo_calls.clear()
     for q, self_rows in ((z, True), (zq, False)):
         dense = lof._neighbours(q, z, 20, None, self_rows=self_rows)
-        monkeypatch.setattr(lof, "_screen_rows", counting_screen_rows)
         tree = lof._neighbours(q, z, 20, tree_model.tree, self_rows=self_rows)
-        monkeypatch.setattr(lof, "_screen_rows", screen_rows)
         for got, want in zip(tree, dense):
             assert got.dtype == want.dtype and np.array_equal(got, want)
     # on tie-heavy data some rows' ties outnumber the tree's candidates
-    assert (sum(redo_rows) > 0) == (name != "random")
+    assert (len(redo_calls) > 0) == (name != "random")
 
     assert np.array_equal(tree_model.kdist, dense_model.kdist)
     assert np.array_equal(tree_model.lrd, dense_model.lrd)
@@ -258,7 +282,7 @@ def test_tree_and_dense_paths_agree_bitwise(name, workers, monkeypatch):
 
 
 def test_tree_path_lattice_matches_brute_force():
-    # ties at the k-distance outnumber the tree's candidates (dense fallback)
+    # ties at the k-distance outnumber the tree's candidates (tie redo)
     scale = np.array([1.0, 2.0, 0.5, 3.0])
     x = _lattice(4, 4) * scale
     rng = np.random.default_rng(36)

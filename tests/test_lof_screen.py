@@ -160,7 +160,7 @@ def test_screen_matches_on_a_small_k():
 
 def test_group_bound_is_loose_on_a_cluster_in_one_group():
     """k + 5 = 16 near points fill one column group: their group bound lies
-    among the far points, yet the screen finds the exact k-th estimate."""
+    among the far points, yet the screen's neighbours are cdist's."""
     k = 11
     x = _group_cluster(k)
     est = (cdist(x, x) ** 2).astype(np.float32)
